@@ -95,23 +95,14 @@ class LMFAO:
         plan: Plan,
         *,
         parallel: bool = True,
-        max_workers: int = 4,
     ) -> RunResult:
         return execute(
-            spark,
-            relations,
-            plan.tree,
-            plan.views,
-            plan.grouping,
-            parallel=parallel,
-            max_workers=max_workers,
+            spark, relations, plan.tree, plan.views, plan.grouping, parallel=parallel
         )
 
 
 def result_size_mb(result: RunResult) -> float:
     """Size of the application aggregates (Table 2's "Size" column): 8 bytes
-    per value over all query outputs."""
-    total = 0
-    for df in result.dataframes.values():
-        total += df.count() * len(df.columns) * 8
+    per value over all collected query outputs."""
+    total = sum(pdf.size * 8 for pdf in result.collected.values())
     return total / (1024 * 1024)

@@ -1,23 +1,31 @@
 """Multi-Output execution + Parallelization layers (paper §3.5).
 
-A view materializes as: scan its source relation (projected to the columns
-actually used), hash-join the incoming views on the edge join keys, then one
-``groupBy().agg()`` computing *all* of the view's merged aggregates in a
-single pass — the Spark analog of LMFAO's multi-output plan (one scan, many
-aggregates, Tungsten whole-stage codegen standing in for the generated C++;
-see DESIGN.md "substitutions"). Within a group, views that share the same
-incoming-view set also share a persisted base join, so the scan+join work is
-not repeated.
+A view evaluates as: scan its source relation (projected to the columns
+actually used), probe each incoming view through a broadcast hash join on the
+edge join keys, then one ``groupBy().agg()`` computing *all* of the view's
+merged aggregates in a single pass — the Spark analog of LMFAO's multi-output
+plan (one scan, many aggregates, hash-map lookups into the incoming views,
+Tungsten whole-stage codegen standing in for the generated C++; see DESIGN.md
+"substitutions"). Each aggregate is SQL text, ``SUM(<local.to_sql()> *
+v<k>_a<i> …)``, the same function text the baselines and the oracle run.
 
-Parallelization: groups within a wave are submitted from a thread pool —
-Spark's scheduler runs their jobs concurrently; domain parallelism comes from
-the partitioning of the scanned relation.
+Only an internal view read by two or more views is persisted and forced; a
+view with one reader stays lazy inside its reader's plan. Query views are
+collected to pandas directly, never persisted.
+
+Parallelization: the jobs of a wave (forcing shared views, collecting query
+views) are submitted from a thread pool — Spark's scheduler runs them
+concurrently; domain parallelism comes from the partitioning of the scanned
+relation.
 """
 from __future__ import annotations
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -28,33 +36,37 @@ from repro.core.views import Atom, ViewDef
 
 @dataclass
 class RunResult:
-    """Materialized query results plus the cached internal views.
+    """Query results of one run, plus the cached shared internal views.
 
-    Query DataFrames are persisted and already forced; call :meth:`cleanup`
-    when done to release executor memory.
+    ``run[q]`` is the query's lazy DataFrame; ``run.pandas(q)`` is the frame
+    collected during the run. Call :meth:`cleanup` when done to release the
+    cached views.
     """
 
     dataframes: dict[str, DataFrame]
+    collected: dict[str, pd.DataFrame]
     _cached: list[DataFrame] = field(default_factory=list)
 
     def __getitem__(self, query_name: str) -> DataFrame:
         return self.dataframes[query_name]
 
-    def pandas(self, query_name: str):
-        return self.dataframes[query_name].toPandas()
+    def pandas(self, query_name: str) -> pd.DataFrame:
+        return self.collected[query_name]
 
     def cleanup(self) -> None:
-        for df in self._cached:
-            df.unpersist()
-        self._cached.clear()
+        _unpersist(self._cached)
 
 
-def _atom_expr(atom: Atom, views: list[ViewDef]):
-    """Spark Column for one partial product: local factors × incoming refs."""
-    col = atom.local.to_spark()
-    for vid, aidx in atom.refs:
-        col = col * F.col(views[vid].col(aidx))
-    return col
+def _unpersist(cached: list[DataFrame]) -> None:
+    for df in cached:
+        df.unpersist()
+    cached.clear()
+
+
+def _atom_sql(atom: Atom, views: list[ViewDef]) -> str:
+    """SQL for one partial product: local factors × incoming refs."""
+    refs = [views[vid].col(aidx) for vid, aidx in atom.refs]
+    return " * ".join([atom.local.to_sql(), *refs])
 
 
 def _used_source_columns(view: ViewDef, views: list[ViewDef], tree: JoinTree):
@@ -68,39 +80,33 @@ def _used_source_columns(view: ViewDef, views: list[ViewDef], tree: JoinTree):
     return sorted(used)
 
 
-def _base_df(
+def _view_df(
     view: ViewDef,
     views: list[ViewDef],
     tree: JoinTree,
     relations: dict[str, DataFrame],
-    mat: dict[int, DataFrame],
+    built: dict[int, DataFrame],
 ) -> DataFrame:
-    """Source relation joined with the view's incoming views (inner, on the
-    edge join keys = incoming group-by ∩ source schema)."""
+    """The view's plan: source relation, broadcast-joined with its incoming
+    views (inner, on the edge join keys = incoming group-by ∩ source schema),
+    aggregated in one pass."""
     omega = tree.db.schema_of(view.source)
     df = relations[view.source].select(*_used_source_columns(view, views, tree))
     for vid in view.incoming:
         keys = [a for a in views[vid].group_by if a in omega]
-        df = df.join(mat[vid], on=keys, how="inner")
-    return df
-
-
-def _aggregate(view: ViewDef, views: list[ViewDef], base: DataFrame) -> DataFrame:
-    atom_cols = [_atom_expr(a, views) for a in view.atoms]
+        df = df.join(F.broadcast(built[vid]), on=keys, how="inner")
+    atoms = [_atom_sql(a, views) for a in view.atoms]
     if view.is_query:
-        aggs = []
-        for name, idxs in view.outputs:
-            expr = atom_cols[idxs[0]]
-            for i in idxs[1:]:
-                expr = expr + atom_cols[i]
-            aggs.append(F.sum(expr).alias(name))
-    else:
-        aggs = [
-            F.sum(c).alias(view.col(i)) for i, c in enumerate(atom_cols)
+        sums = [
+            (name, " + ".join(f"({atoms[i]})" for i in idxs))
+            for name, idxs in view.outputs
         ]
+    else:
+        sums = [(view.col(i), a) for i, a in enumerate(atoms)]
+    aggs = [F.expr(f"SUM({body}) AS {name}") for name, body in sums]
     if view.group_by:
-        return base.groupBy(*view.group_by).agg(*aggs)
-    return base.agg(*aggs)
+        return df.groupBy(*view.group_by).agg(*aggs)
+    return df.agg(*aggs)
 
 
 def execute(
@@ -111,58 +117,45 @@ def execute(
     grouping: Grouping,
     *,
     parallel: bool = True,
-    max_workers: int = 4,
 ) -> RunResult:
-    """Materialize all views wave by wave; returns the forced query results."""
-    mat: dict[int, DataFrame] = {}
+    """Evaluate all views wave by wave; returns the collected query results.
+
+    If any job fails, every view persisted so far is released before the
+    error propagates.
+    """
+    readers = Counter(w for v in views for w in v.incoming)
+    workers = spark.sparkContext.defaultParallelism if parallel else 1
+    built: dict[int, DataFrame] = {}
     cached: list[DataFrame] = []
     results: dict[str, DataFrame] = {}
+    collected: dict[str, pd.DataFrame] = {}
 
-    for wave in grouping.waves:
-        # Plan construction is py4j-heavy and not worth contending over:
-        # build every view plan of the wave serially, then execute the
-        # independent Spark jobs concurrently.
-        pending: list[DataFrame] = []
-        for gi in wave:
-            # Within a group, views sharing an incoming signature share one
-            # persisted base join (the MOO shared-scan analog). The base is
-            # forced once so parallel consumers do not race to fill it.
-            members = [views[vid] for vid in grouping.groups[gi]]
-            sigs = {
-                v.vid: (
-                    v.source,
-                    v.incoming,
-                    tuple(_used_source_columns(v, views, tree)),
-                )
-                for v in members
-            }
-            counts: dict[tuple, int] = {}
-            for s in sigs.values():
-                counts[s] = counts.get(s, 0) + 1
-            shared: dict[tuple, DataFrame] = {}
-            for v in members:
-                sig = sigs[v.vid]
-                if counts[sig] > 1:
-                    if sig not in shared:
-                        b = _base_df(v, views, tree, relations, mat).persist()
-                        b.count()
-                        shared[sig] = b
-                        cached.append(b)
-                    base = shared[sig]
-                else:
-                    base = _base_df(v, views, tree, relations, mat)
-                out = _aggregate(v, views, base).persist()
-                cached.append(out)
-                mat[v.vid] = out
-                pending.append(out)
-                if v.is_query:
-                    results[v.query_name or v.col(0)] = out
-        # force the wave: later waves read these views from cache
-        if parallel and len(pending) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(lambda df: df.count(), pending))
-        else:
-            for df in pending:
-                df.count()
+    def collect(name: str) -> None:
+        collected[name] = results[name].toPandas()
 
-    return RunResult(results, cached)
+    try:
+        for wave in grouping.waves:
+            # Plan construction is py4j-heavy and not worth contending over:
+            # build every view plan of the wave serially, then run the
+            # wave's independent Spark jobs concurrently.
+            jobs = []
+            for gi in wave:
+                for vid in grouping.groups[gi]:
+                    v = views[vid]
+                    df = _view_df(v, views, tree, relations, built)
+                    if v.is_query:
+                        results[v.query_name] = df
+                        jobs.append(partial(collect, v.query_name))
+                    elif readers[vid] > 1:
+                        # forced now, so parallel readers do not race to fill it
+                        df = df.persist()
+                        cached.append(df)
+                        jobs.append(df.count)
+                    built[vid] = df
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                for fut in [pool.submit(job) for job in jobs]:
+                    fut.result()
+    except BaseException:
+        _unpersist(cached)
+        raise
+    return RunResult(results, collected, cached)

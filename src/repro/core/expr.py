@@ -11,11 +11,13 @@ applications are:
 - ``fn(name, *attrs)``  named n-ary function from ``FN_REGISTRY`` (UDAFs such
   as ``g(price)`` in the paper's running example)
 
-Every factor renders three ways so the engine, the per-query SQL baselines,
-the DuckDB oracle, and the numpy ML baselines all evaluate *the same*
-function: ``to_spark()`` (Catalyst Column), ``to_sql()`` (portable SQL that
-runs in both Spark SQL and DuckDB), and ``to_numpy()`` (vectorized callable
-over a pandas DataFrame).
+Every factor renders two ways: ``to_sql()`` (portable SQL that runs in both
+Spark SQL and DuckDB) and ``to_numpy()`` (vectorized callable over a pandas
+DataFrame). The engine, the per-query SQL baselines and the DuckDB oracle all
+evaluate the same ``to_sql()`` text; the numpy ML baselines use
+``to_numpy()``. Numeric literals are written in exponent form (``1e0``):
+Spark SQL and DuckDB both read that as DOUBLE, while ``1.0`` is a DECIMAL in
+Spark SQL and would turn every delta sum into decimal arithmetic.
 """
 from __future__ import annotations
 
@@ -25,8 +27,6 @@ from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 _OPS = {"<", "<=", ">", ">=", "==", "!="}
 _SQL_OPS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "==": "=", "!=": "<>"}
@@ -40,38 +40,30 @@ _NP_OPS = {
 }
 
 
+def _double(c: float) -> str:
+    """SQL DOUBLE literal for ``c``: exponent form, e.g. ``-2.5e0``."""
+    r = repr(float(c))
+    return r if "e" in r else r + "e0"
+
+
 @dataclass(frozen=True)
 class _Fn:
     """A named scalar function with one renderer per evaluation substrate."""
 
     arity: int
-    spark: Callable[..., Column]
     sql: str  # format template, {0}, {1}, ... are the SQL column names
     numpy: Callable[..., np.ndarray]
 
 
-#: Named UDAF building blocks. All are expressible in Catalyst (no Python
-#: UDFs) so the engine stays whole-stage-codegen'd, and each has an exact
-#: DuckDB-compatible SQL rendering for the oracle.
+#: Named UDAF building blocks. Each is plain SQL (no Python UDFs), so the
+#: engine stays whole-stage-codegen'd and DuckDB evaluates the same text.
 FN_REGISTRY: dict[str, _Fn] = {
     # g(price)-style smooth unary transforms. log1p is taken of |x| so the
     # function is total — DuckDB raises on LN of a negative argument.
-    "log1p": _Fn(
-        1,
-        lambda c: F.log1p(F.abs(c)),
-        "LN(1 + ABS({0}))",
-        lambda x: np.log1p(np.abs(x)),
-    ),
-    "sqrt_abs": _Fn(
-        1, lambda c: F.sqrt(F.abs(c)), "SQRT(ABS({0}))", lambda x: np.sqrt(np.abs(x))
-    ),
+    "log1p": _Fn(1, "LN(1 + ABS({0}))", lambda x: np.log1p(np.abs(x))),
+    "sqrt_abs": _Fn(1, "SQRT(ABS({0}))", lambda x: np.sqrt(np.abs(x))),
     # h(date, family)-style binary interaction spanning two relations
-    "xy_plus1": _Fn(
-        2,
-        lambda a, b: a * b + F.lit(1.0),
-        "({0} * {1} + 1.0)",
-        lambda a, b: a * b + 1.0,
-    ),
+    "xy_plus1": _Fn(2, "({0} * {1} + 1e0)", lambda a, b: a * b + 1.0),
 }
 
 
@@ -93,37 +85,9 @@ class Factor:
             raise ValueError(f"unknown factor kind {self.kind!r}")
 
     # -- renderers --------------------------------------------------------
-    def to_spark(self) -> Column:
-        if self.kind == "const":
-            return F.lit(float(self.params[0]))
-        if self.kind == "id":
-            return F.col(self.attrs[0]).cast("double")
-        if self.kind == "pow":
-            k = int(self.params[0])
-            c = F.col(self.attrs[0]).cast("double")
-            out = c
-            for _ in range(k - 1):
-                out = out * c
-            return out
-        if self.kind == "delta":
-            op, t = self.params
-            c = F.col(self.attrs[0])
-            lit = F.lit(t)
-            cond = {
-                "<": c < lit,
-                "<=": c <= lit,
-                ">": c > lit,
-                ">=": c >= lit,
-                "==": c == lit,
-                "!=": c != lit,
-            }[op]
-            return F.when(cond, F.lit(1.0)).otherwise(F.lit(0.0))
-        fn = FN_REGISTRY[self.params[0]]
-        return fn.spark(*[F.col(a).cast("double") for a in self.attrs])
-
     def to_sql(self) -> str:
         if self.kind == "const":
-            return repr(float(self.params[0]))
+            return _double(self.params[0])
         if self.kind == "id":
             return f"CAST({self.attrs[0]} AS DOUBLE)"
         if self.kind == "pow":
@@ -135,7 +99,7 @@ class Factor:
             lit = repr(t) if not isinstance(t, bool) else str(t).upper()
             return (
                 f"(CASE WHEN {self.attrs[0]} {_SQL_OPS[op]} {lit} "
-                "THEN 1.0 ELSE 0.0 END)"
+                "THEN 1e0 ELSE 0e0 END)"
             )
         fn = FN_REGISTRY[self.params[0]]
         args = [f"CAST({a} AS DOUBLE)" for a in self.attrs]
@@ -222,15 +186,9 @@ class Product:
     def attrs(self) -> frozenset[str]:
         return frozenset(a for f in self.factors for a in f.attrs)
 
-    def to_spark(self) -> Column:
-        out = F.lit(1.0)
-        for f_ in self.factors:
-            out = out * f_.to_spark()
-        return out
-
     def to_sql(self) -> str:
         if not self.factors:
-            return "1.0"
+            return "1e0"
         return " * ".join(f_.to_sql() for f_ in self.factors)
 
     def to_numpy(self, pdf: pd.DataFrame) -> np.ndarray:

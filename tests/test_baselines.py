@@ -85,3 +85,22 @@ def test_per_query_spark_handles_rt(spark, favorita):
         pd.testing.assert_frame_equal(
             _canon(lmfao[q.name]), _canon(duck_pq[q.name]), check_dtype=False
         )
+
+
+@pytest.mark.parametrize("wl", ["count", "cm", "rt"])
+def test_outputs_are_double(spark, favorita, wl):
+    """Every aggregate column is floating point on the engine and on both
+    baselines; the RT batch carries pure-delta products, whose SQL literals
+    would come back as Decimal if Spark read them as DECIMAL."""
+    queries = build_workload(favorita.spec, wl, favorita.relations, n_buckets=2)
+    tree = favorita.spec.tree()
+    outputs = {
+        "lmfao": run_batch(spark, favorita, queries)[0],
+        "spark_pq": run_per_query_spark(spark, favorita.relations, tree, queries),
+        "duckdb_pq": run_per_query_duckdb(favorita.pandas, tree, queries),
+    }
+    for system, results in outputs.items():
+        for q in queries:
+            for name in q.agg_names:
+                dtype = results[q.name][name].dtype
+                assert pd.api.types.is_float_dtype(dtype), (system, q.name, name, dtype)

@@ -1,10 +1,14 @@
-"""Executor-internals tests: column pruning, base-join sharing, run-result
-lifecycle, Example 3.3 numeric correctness on a chain database."""
+"""Executor-internals tests: column pruning, which views are persisted,
+run-result lifecycle and cleanup after a failed run, Example 3.3 numeric
+correctness on a chain database."""
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.engine import LMFAO, result_size_mb
 from repro.core.executor import _used_source_columns
@@ -15,6 +19,7 @@ from repro.core.schema import Attribute as A
 from repro.core.schema import Database, Relation
 from repro.core.views import ViewRegistry, decompose_query
 from repro.datasets import FAVORITA
+from repro.workloads import build_workload
 
 
 def test_used_source_columns_prunes(favorita):
@@ -122,6 +127,55 @@ def test_result_size_mb_counts_values(spark, favorita):
         assert abs(mb - n_rows * 2 * 8 / 2**20) < 1e-9
     finally:
         run.cleanup()
+
+
+def _shared_views(plan):
+    """Internal views read by two or more views."""
+    readers = Counter(w for v in plan.views for w in v.incoming)
+    return [v for v in plan.views if readers[v.vid] >= 2]
+
+
+def test_only_shared_internal_views_are_cached(spark, favorita):
+    """Views with one reader stay lazy in their reader's plan and query
+    views are collected, not persisted: only shared views are cached."""
+    plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
+    shared = _shared_views(plan)
+    assert shared and all(not v.is_query for v in shared)
+    run = favorita.engine.run(spark, favorita.relations, plan)
+    try:
+        assert len(run._cached) == len(shared)
+        assert {tuple(df.columns) for df in run._cached} == {
+            (*v.group_by, *(v.col(i) for i in range(len(v.atoms)))) for v in shared
+        }
+    finally:
+        run.cleanup()
+
+
+@pytest.mark.parametrize("failure", ["missing_attribute", "job_error"])
+def test_failed_run_releases_cached_views(spark, favorita, failure):
+    """A batch that fails after earlier waves persisted shared views leaves
+    no persisted RDD behind."""
+    plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
+    # views grouped by family run in the last wave, after shared views exist
+    first_family_wave = min(
+        plan.grouping.level_of[v.vid] for v in plan.views if "family" in v.group_by
+    )
+    assert any(
+        plan.grouping.level_of[v.vid] < first_family_wave for v in _shared_views(plan)
+    )
+    items = favorita.relations["Items"]
+    if failure == "missing_attribute":
+        items = items.drop("family")
+    else:
+        items = items.withColumn(
+            "family", F.expr("CAST(raise_error('injected failure') AS INT)")
+        )
+    relations = {**favorita.relations, "Items": items}
+    jsc = spark.sparkContext._jsc.sc()
+    before = jsc.getPersistentRDDs().size()
+    with pytest.raises(Exception):
+        favorita.engine.run(spark, relations, plan)
+    assert jsc.getPersistentRDDs().size() == before
 
 
 def test_fmt_table_alignment():

@@ -1,12 +1,14 @@
-"""Aggregate-language tests: the three renderers (Spark, SQL, numpy) of every
-factor kind must agree value-for-value — they drive the engine, the baselines
-and the oracle, so any divergence would make correctness checks vacuous."""
+"""Aggregate-language tests: the SQL text of every factor kind must give the
+same values in Spark SQL, in DuckDB and through the numpy renderer — the SQL
+drives the engine, the baselines and the oracle, the numpy form the ML
+baselines, so any divergence would make correctness checks vacuous."""
 from __future__ import annotations
 
 import duckdb
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core.expr import (
     FN_REGISTRY,
@@ -71,7 +73,7 @@ def test_numpy_matches_duckdb_sql(factor):
 def test_spark_matches_numpy(spark, factor):
     sdf = spark.createDataFrame(PDF)
     got = np.array(
-        [r[0] for r in sdf.select(factor.to_spark().alias("v")).collect()],
+        [r[0] for r in sdf.select(F.expr(factor.to_sql()).alias("v")).collect()],
         dtype=float,
     )
     np.testing.assert_allclose(got, factor.to_numpy(PDF), rtol=1e-12, atol=1e-12)

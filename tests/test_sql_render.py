@@ -26,7 +26,7 @@ def test_render_groupby_and_aliases():
     spec = all_datasets()["favorita"]
     q = Query("q", ("family",), (count(), sum_of(ident("units"))), ("c", "s"))
     sql = render_query_sql(spec.tree(), q)
-    assert sql.startswith("SELECT family, SUM(1.0) AS c, SUM(")
+    assert sql.startswith("SELECT family, SUM(1e0) AS c, SUM(")
     assert sql.endswith("GROUP BY family")
 
 
