@@ -8,7 +8,7 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from jobs._cli import parse_args  # noqa: E402
+from jobs._cli import run_job  # noqa: E402
 
 
 def main(spark, sf: float, datasets=None):
@@ -21,9 +21,4 @@ def main(spark, sf: float, datasets=None):
 
 
 if __name__ == "__main__":
-    args = parse_args(__doc__)
-    from repro.harness import make_spark
-
-    spark = make_spark("table3")
-    main(spark, args.sf, args.datasets)
-    spark.stop()
+    run_job("table3", __doc__, main)

@@ -7,10 +7,10 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from jobs._cli import parse_args  # noqa: E402
+from jobs._cli import run_job  # noqa: E402
 
 
-def main(spark, sf: float, datasets=None):
+def main(spark, sf: float):
     from repro.harness import fmt_table, tree_rows
 
     rows = tree_rows(spark, "tpcds", sf, kind="classification")
@@ -20,9 +20,4 @@ def main(spark, sf: float, datasets=None):
 
 
 if __name__ == "__main__":
-    args = parse_args(__doc__)
-    from repro.harness import make_spark
-
-    spark = make_spark("table5")
-    main(spark, args.sf, args.datasets)
-    spark.stop()
+    run_job("table5", __doc__, main)

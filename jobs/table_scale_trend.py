@@ -9,10 +9,10 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
-from jobs._cli import parse_args  # noqa: E402
+from jobs._cli import run_job  # noqa: E402
 
 
-def main(spark, sf=None, datasets=None):
+def main(spark):
     from repro.harness import fmt_table, scale_trend_rows
 
     rows = scale_trend_rows(spark, "yelp")
@@ -22,9 +22,4 @@ def main(spark, sf=None, datasets=None):
 
 
 if __name__ == "__main__":
-    args = parse_args(__doc__)
-    from repro.harness import make_spark
-
-    spark = make_spark("scale-trend")
-    main(spark)
-    spark.stop()
+    run_job("scale-trend", __doc__, main)

@@ -20,7 +20,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.engine import LMFAO
-from repro.core.expr import Factor, Product, SumProduct, count, delta, power, sum_of
+from repro.core.expr import Factor, Product, SumProduct, delta, power
 from repro.core.query import Query
 
 
@@ -68,10 +68,6 @@ class DecisionTree:
         return len(self.nodes)
 
 
-def _ctx(conds: tuple[Factor, ...]) -> tuple[Factor, ...]:
-    return conds
-
-
 def node_queries(
     node: Node,
     cont: tuple[str, ...],
@@ -86,7 +82,7 @@ def node_queries(
     (continuous attr, threshold), and one group-by query per categorical
     attr. Classification: the same shapes grouped by the label.
     """
-    ctx = _ctx(node.conds)
+    ctx = node.conds
     qs: list[Query] = []
     if kind == "regression":
         aggs: list[SumProduct] = [

@@ -21,7 +21,6 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.apps.covar import CovarMatrix
 from repro.core.join_tree import JoinTree
 
 
@@ -34,13 +33,11 @@ def materialize_join(
     """The full natural join (training-dataset materialization)."""
     order = tree.bfs_order(root or list(relations)[0])
     df = relations[order[0]]
-    joined = {order[0]}
     for name in order[1:]:
         keys = sorted(
             set(c for c in relations[name].columns if c in df.columns)
         )
         df = df.join(relations[name], on=keys, how="inner")
-        joined.add(name)
     return df
 
 
@@ -100,13 +97,6 @@ def closed_form_materialized(
 
 def rmse(X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
     return float(np.sqrt(np.mean((X @ theta - y) ** 2)))
-
-
-def theta_from_covar(cm: CovarMatrix, theta: np.ndarray, label: str) -> np.ndarray:
-    """Reorder an LMFAO-learned parameter vector into one_hot column order
-    (they already coincide: intercept, cont, cats in order) — identity hook
-    kept for clarity in comparisons."""
-    return theta
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ class Grouping:
     groups: list[list[int]]
     waves: list[list[int]]
     level_of: dict[int, int]
-    source_of_group: list[str]
 
     @property
     def n_groups(self) -> int:
@@ -52,17 +51,15 @@ def group_views(views: list[ViewDef]) -> Grouping:
 
     group_index: dict[tuple[str, int], int] = {}
     groups: list[list[int]] = []
-    source_of_group: list[str] = []
     for v in views:
         key = (v.source, level_of[v.vid])
         if key not in group_index:
             group_index[key] = len(groups)
             groups.append([])
-            source_of_group.append(v.source)
         groups[group_index[key]].append(v.vid)
 
     max_level = max(level_of.values(), default=0)
     waves: list[list[int]] = [[] for _ in range(max_level + 1)]
     for (src, lvl), gi in group_index.items():
         waves[lvl].append(gi)
-    return Grouping(groups, waves, level_of, source_of_group)
+    return Grouping(groups, waves, level_of)

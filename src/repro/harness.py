@@ -1,11 +1,10 @@
 """Experiment harness: builds every evaluation-table row (paper §4).
 
 Each ``tableN_rows`` function measures one paper table and returns rows as
-dicts; ``jobs/tableN_*.py`` are thin spark-submit wrappers and
-``benchmarks/bench_tableN.py`` re-times selected cells under
-pytest-benchmark. Timing protocol: relations are generated and cached
-(caches warmed by a count), then each system is timed once on the warm cache
-— the analog of the paper's warm-cache averaging, scaled to laptop runtimes.
+dicts; ``jobs/tableN_*.py`` are thin spark-submit wrappers. Timing protocol:
+relations are generated and cached (caches warmed by a count), then each
+system is timed once on the warm cache — the analog of the paper's
+warm-cache averaging, scaled to laptop runtimes.
 """
 from __future__ import annotations
 
@@ -14,11 +13,12 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.apps.covar import assemble_covar, covar_queries, design_matrix
 from repro.apps.dtree import compute_thresholds, learn_tree
-from repro.apps.linreg import learn_bgd, learn_closed_form
+from repro.apps.linreg import learn_bgd
 from repro.baselines.duckdb_batch import run_per_query_duckdb
 from repro.baselines.ml_baselines import (
     closed_form_materialized,
@@ -30,6 +30,8 @@ from repro.baselines.ml_baselines import (
 )
 from repro.baselines.sql_batch import run_per_query_spark
 from repro.core.engine import LMFAO, result_size_mb
+from repro.core.join_tree import JoinTree
+from repro.core.schema import Attribute, Database, Relation
 from repro.datasets import all_datasets
 from repro.datasets.common import DatasetSpec
 from repro.workloads import WORKLOADS, build_workload
@@ -38,12 +40,50 @@ BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
 BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
 
 
+def _driver_mem() -> str:
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before the first
+    session starts.
+
+    The cgroup read is best-effort: a container runtime's sysfs emulation
+    (gVisor's, for one) may not pass the host limit through. An unbounded
+    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
+    is treated as absent so the JVM is never handed an impossible heap.
+    """
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    for p in (
+        "/sys/fs/cgroup/memory.max",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+    ):
+        try:
+            raw = open(p).read().strip()
+            if not raw or raw == "max":
+                continue
+            gib = int(raw) / (1 << 30)
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
+        except (OSError, ValueError):
+            continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+    return "48g"
+
+
 def make_spark(app: str = "repro-job") -> SparkSession:
-    """Standalone session for job entrypoints, mirroring conftest's config."""
+    """The one local-mode session factory (jobs, tests and perfbench).
+
+    Master and driver memory go into ``PYSPARK_SUBMIT_ARGS`` unless the
+    caller set it already; the rest is per-session config.
+    """
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {os.environ.get('SPARK_DRIVER_MEM', '40g')} "
+        f"--driver-memory {_driver_mem()} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
@@ -66,6 +106,18 @@ def load_dataset(
     relations = {n: df.cache() for n, df in spec.generate(spark, sf=sf, seed=seed).items()}
     sizes = {n: df.count() for n, df in relations.items()}
     return relations, sizes
+
+
+@contextmanager
+def loaded(spark: SparkSession, spec: DatasetSpec, sf: float, seed: int = BENCH_SEED):
+    """``load_dataset`` as a context: yields (relations, sizes) and unpersists
+    every frame left in ``relations`` on exit, also when the body raises."""
+    relations, sizes = load_dataset(spark, spec, sf, seed)
+    try:
+        yield relations, sizes
+    finally:
+        for df in relations.values():
+            df.unpersist()
 
 
 @contextmanager
@@ -106,20 +158,26 @@ def _pandas_relations(relations: dict[str, DataFrame]):
 # ---------------------------------------------------------------------------
 # Table 1 — dataset characteristics
 # ---------------------------------------------------------------------------
-def table1_rows(spark: SparkSession, sf: float = BENCH_SF) -> list[dict]:
+def table1_rows(
+    spark: SparkSession,
+    sf: float = BENCH_SF,
+    datasets: list[str] | None = None,
+) -> list[dict]:
     rows = []
-    for name, spec in sorted(all_datasets().items()):
-        relations, sizes = load_dataset(spark, spec, sf)
-        pdfs = _pandas_relations(relations)
-        db_tuples = sum(sizes.values())
-        db_bytes = sum(p.memory_usage(index=False, deep=True).sum() for p in pdfs.values())
-        join_df = materialize_join(spark, relations, spec.tree(), spec.fact)
-        join_tuples = join_df.count()
-        join_cols = len(join_df.columns)
+    for name in datasets or sorted(all_datasets()):
+        spec = all_datasets()[name]
+        with loaded(spark, spec, sf) as (relations, sizes):
+            pdfs = _pandas_relations(relations)
+            db_bytes = sum(
+                p.memory_usage(index=False, deep=True).sum() for p in pdfs.values()
+            )
+            join_df = materialize_join(spark, relations, spec.tree(), spec.fact)
+            join_tuples = join_df.count()
+            join_cols = len(join_df.columns)
         rows.append(
             {
                 "dataset": name,
-                "tuples_db": db_tuples,
+                "tuples_db": sum(sizes.values()),
                 "size_db_mb": db_bytes / 2**20,
                 "tuples_join": join_tuples,
                 "size_join_mb": join_tuples * join_cols * 8 / 2**20,
@@ -128,8 +186,6 @@ def table1_rows(spark: SparkSession, sf: float = BENCH_SF) -> list[dict]:
                 "categorical": len(spec.db.attrs_of_kind("cat")),
             }
         )
-        for df in relations.values():
-            df.unpersist()
     return rows
 
 
@@ -145,28 +201,26 @@ def table2_rows(
     rows = []
     for name in datasets or sorted(all_datasets()):
         spec = all_datasets()[name]
-        relations, sizes = load_dataset(spark, spec, sf)
-        engine = LMFAO(spec.tree(), sizes)
-        for wl in workloads:
-            queries = build_workload(spec, wl, relations)
-            plan = engine.compile(queries)
-            run = engine.run(spark, relations, plan)
-            size_mb = result_size_mb(run)
-            run.cleanup()
-            s = plan.stats()
-            rows.append(
-                {
-                    "dataset": name,
-                    "batch": wl.upper(),
-                    "A": s["A"],
-                    "I": s["I"],
-                    "V": s["V"],
-                    "G": s["G"],
-                    "size_mb": size_mb,
-                }
-            )
-        for df in relations.values():
-            df.unpersist()
+        with loaded(spark, spec, sf) as (relations, sizes):
+            engine = LMFAO(spec.tree(), sizes)
+            for wl in workloads:
+                queries = build_workload(spec, wl, relations)
+                plan = engine.compile(queries)
+                run = engine.run(spark, relations, plan)
+                size_mb = result_size_mb(run)
+                run.cleanup()
+                s = plan.stats()
+                rows.append(
+                    {
+                        "dataset": name,
+                        "batch": wl.upper(),
+                        "A": s["A"],
+                        "I": s["I"],
+                        "V": s["V"],
+                        "G": s["G"],
+                        "size_mb": size_mb,
+                    }
+                )
     return rows
 
 
@@ -209,165 +263,157 @@ def table3_rows(
     rows = []
     for name in datasets or sorted(all_datasets()):
         spec = all_datasets()[name]
-        relations, sizes = load_dataset(spark, spec, sf)
-        pdfs = _pandas_relations(relations)
-        engine = LMFAO(spec.tree(), sizes)
-        for wl in workloads:
-            queries = build_workload(spec, wl, relations)
-            row: dict = {"dataset": name, "batch": wl.upper(), "queries": len(queries)}
-            if "lmfao" in systems:
-                with timer() as t:
-                    plan = engine.compile(queries)
-                    run = engine.run(spark, relations, plan)
-                run.cleanup()
-                row["lmfao_s"] = t["s"]
-            if "spark_pq" in systems:
-                with timer() as t:
-                    run_per_query_spark(spark, relations, spec.tree(), queries)
-                row["spark_pq_s"] = t["s"]
-            if "duckdb_pq" in systems:
-                with timer() as t:
-                    run_per_query_duckdb(pdfs, spec.tree(), queries)
-                row["duckdb_pq_s"] = t["s"]
-            singles = _single_aggregate_queries(queries)
-            row["aggregates"] = len(singles)
-            if "spark_1agg" in systems:
-                subset = singles[:SPARK_1AGG_CAP]
-                with timer() as t:
-                    run_per_query_spark(spark, relations, spec.tree(), subset)
-                # measured subset, extrapolated to the full batch (labelled)
-                row["spark_1agg_est_s"] = t["s"] / len(subset) * len(singles)
-                if len(subset) < len(singles):
-                    print(
-                        f"[table3] {name}/{wl}: spark_1agg measured on "
-                        f"{len(subset)}/{len(singles)} single-aggregate "
-                        "queries; column is the extrapolated full-batch time"
+        with loaded(spark, spec, sf) as (relations, sizes):
+            pdfs = _pandas_relations(relations)
+            engine = LMFAO(spec.tree(), sizes)
+            for wl in workloads:
+                queries = build_workload(spec, wl, relations)
+                row: dict = {"dataset": name, "batch": wl.upper(), "queries": len(queries)}
+                if "lmfao" in systems:
+                    with timer() as t:
+                        plan = engine.compile(queries)
+                        run = engine.run(spark, relations, plan)
+                    run.cleanup()
+                    row["lmfao_s"] = t["s"]
+                if "spark_pq" in systems:
+                    with timer() as t:
+                        run_per_query_spark(spark, relations, spec.tree(), queries)
+                    row["spark_pq_s"] = t["s"]
+                if "duckdb_pq" in systems:
+                    with timer() as t:
+                        run_per_query_duckdb(pdfs, spec.tree(), queries)
+                    row["duckdb_pq_s"] = t["s"]
+                singles = _single_aggregate_queries(queries)
+                row["aggregates"] = len(singles)
+                if "spark_1agg" in systems:
+                    subset = singles[:SPARK_1AGG_CAP]
+                    with timer() as t:
+                        run_per_query_spark(spark, relations, spec.tree(), subset)
+                    # measured subset, extrapolated to the full batch (labelled)
+                    row["spark_1agg_est_s"] = t["s"] / len(subset) * len(singles)
+                    if len(subset) < len(singles):
+                        print(
+                            f"[table3] {name}/{wl}: spark_1agg measured on "
+                            f"{len(subset)}/{len(singles)} single-aggregate "
+                            "queries; column is the extrapolated full-batch time"
+                        )
+                if "duckdb_1agg" in systems:
+                    with timer() as t:
+                        run_per_query_duckdb(pdfs, spec.tree(), singles)
+                    row["duckdb_1agg_s"] = t["s"]
+                if "lmfao_s" in row and "spark_pq_s" in row:
+                    row["speedup_vs_spark"] = row["spark_pq_s"] / row["lmfao_s"]
+                if "lmfao_s" in row and "spark_1agg_est_s" in row:
+                    row["speedup_vs_spark_1agg"] = (
+                        row["spark_1agg_est_s"] / row["lmfao_s"]
                     )
-            if "duckdb_1agg" in systems:
-                with timer() as t:
-                    run_per_query_duckdb(pdfs, spec.tree(), singles)
-                row["duckdb_1agg_s"] = t["s"]
-            if "lmfao_s" in row and "spark_pq_s" in row:
-                row["speedup_vs_spark"] = row["spark_pq_s"] / row["lmfao_s"]
-            if "lmfao_s" in row and "spark_1agg_est_s" in row:
-                row["speedup_vs_spark_1agg"] = (
-                    row["spark_1agg_est_s"] / row["lmfao_s"]
-                )
-            rows.append(row)
-        for df in relations.values():
-            df.unpersist()
+                rows.append(row)
     return rows
 
 
 # ---------------------------------------------------------------------------
 # Tables 4/5 — end-to-end model training
 # ---------------------------------------------------------------------------
-def _train_test(spark, spec, relations):
-    """Split the fact on trailing dates (paper §A) and produce train
-    relations + materialized test join for accuracy evaluation."""
-    train_fact, test_fact = spec.split_fact(relations[spec.fact], test_frac=0.1)
-    train = dict(relations)
-    train[spec.fact] = train_fact.cache()
-    train[spec.fact].count()
-    test_rel = dict(relations)
-    test_rel[spec.fact] = test_fact
+def _split_train(spark, spec, relations) -> pd.DataFrame:
+    """Split the fact on trailing dates (paper §A). The cached train split
+    takes the fact's place in ``relations`` (so the ``loaded`` context
+    releases it); returns the materialized test join for accuracy
+    evaluation."""
+    full = relations[spec.fact]
+    train_fact, test_fact = spec.split_fact(full, test_frac=0.1)
+    test_rel = {**relations, spec.fact: test_fact}
     test_joined = materialize_join(spark, test_rel, spec.tree(), spec.fact).toPandas()
-    return train, test_joined
+    relations[spec.fact] = train_fact.cache()
+    full.unpersist()
+    train_fact.count()
+    return test_joined
+
+
+def _batch_over_join(spark, spec, join_df, queries) -> dict:
+    """The batch as per-query Spark SQL over the materialized join, read as
+    one wide relation: no aggregate pushdown (the MLlib-style pipeline)."""
+    rel = Relation(
+        "joined_train", tuple(Attribute(c, spec.db.kind(c)) for c in join_df.columns)
+    )
+    tree = JoinTree(Database([rel]), [])
+    return run_per_query_spark(spark, {rel.name: join_df}, tree, queries)
 
 
 def linreg_rows(spark: SparkSession, name: str, sf: float = BENCH_SF) -> list[dict]:
     """Linear-regression block of Table 4 for one dataset."""
     spec = all_datasets()[name]
-    relations, sizes = load_dataset(spark, spec, sf)
-    train, test_joined = _train_test(spark, spec, relations)
-    cont = tuple(spec.db.attrs_of_kind("cont"))  # label included
-    cats = spec.cm_cats
-    label = spec.label
-    rows = []
+    with loaded(spark, spec, sf) as (train, sizes):
+        test_joined = _split_train(spark, spec, train)
+        cont = tuple(spec.db.attrs_of_kind("cont"))  # label included
+        cats = spec.cm_cats
+        label = spec.label
+        rows = []
 
-    # the materialization steps every structure-agnostic competitor needs
-    with timer() as t_join:
-        join_df = materialize_join(spark, train, spec.tree(), spec.fact)
-        join_df.count()
-    rows.append({"dataset": name, "system": "Join (Spark, PSQL proxy)", "time_s": t_join["s"], "rmse_test": float("nan")})
-    with timer() as t_exp:
-        train_pdf = join_df.toPandas()
-    rows.append({"dataset": name, "system": "Join Export (toPandas)", "time_s": t_exp["s"], "rmse_test": float("nan")})
+        # the materialization steps every structure-agnostic competitor needs
+        with timer() as t_join:
+            join_df = materialize_join(spark, train, spec.tree(), spec.fact)
+            join_df.count()
+        rows.append({"dataset": name, "system": "Join (Spark, PSQL proxy)", "time_s": t_join["s"], "rmse_test": float("nan")})
+        with timer() as t_exp:
+            train_pdf = join_df.toPandas()
+        rows.append({"dataset": name, "system": "Join Export (toPandas)", "time_s": t_exp["s"], "rmse_test": float("nan")})
 
-    # LMFAO: covar batch over the input database + BGD on the covar matrix
-    engine = LMFAO(spec.tree(), sizes)
-    with timer() as t_lmfao:
-        queries = covar_queries(cont, cats)
-        plan = engine.compile(queries)
-        run = engine.run(spark, train, plan)
-        results = {q.name: run.pandas(q.name) for q in queries}
-        cm = assemble_covar(results, cont, cats, label)
-        model = learn_bgd(cm, label)
-    run.cleanup()
-    Xt, yt = design_matrix(test_joined, cm, cont, cats, label)
-    rows.append({"dataset": name, "system": "LMFAO (covar + BGD)", "time_s": t_lmfao["s"], "rmse_test": model.rmse(Xt, yt)})
+        # LMFAO: covar batch over the input database + BGD on the covar matrix
+        engine = LMFAO(spec.tree(), sizes)
+        with timer() as t_lmfao:
+            queries = covar_queries(cont, cats)
+            plan = engine.compile(queries)
+            run = engine.run(spark, train, plan)
+            results = {q.name: run.pandas(q.name) for q in queries}
+            cm = assemble_covar(results, cont, cats, label)
+            model = learn_bgd(cm, label)
+        run.cleanup()
+        Xt, yt = design_matrix(test_joined, cm, cont, cats, label)
+        rows.append({"dataset": name, "system": "LMFAO (covar + BGD)", "time_s": t_lmfao["s"], "rmse_test": model.rmse(Xt, yt)})
 
-    # AC/DC proxy: LMFAO without sharing layers, same convergence
-    acdc = LMFAO(spec.tree(), sizes, multi_root=False, merge_views=False)
-    with timer() as t_acdc:
-        plan = acdc.compile(queries)
-        run = acdc.run(spark, train, plan, parallel=False)
-        results = {q.name: run.pandas(q.name) for q in queries}
-        cm2 = assemble_covar(results, cont, cats, label)
-        m2 = learn_bgd(cm2, label)
-    run.cleanup()
-    rows.append({"dataset": name, "system": "AC/DC proxy (no sharing)", "time_s": t_acdc["s"], "rmse_test": m2.rmse(Xt, yt)})
+        # AC/DC proxy: LMFAO without sharing layers, same convergence
+        acdc = LMFAO(spec.tree(), sizes, multi_root=False, merge_views=False)
+        with timer() as t_acdc:
+            plan = acdc.compile(queries)
+            run = acdc.run(spark, train, plan, parallel=False)
+            results = {q.name: run.pandas(q.name) for q in queries}
+            cm2 = assemble_covar(results, cont, cats, label)
+            m2 = learn_bgd(cm2, label)
+        run.cleanup()
+        rows.append({"dataset": name, "system": "AC/DC proxy (no sharing)", "time_s": t_acdc["s"], "rmse_test": m2.rmse(Xt, yt)})
 
-    # MLlib-style same-substrate baseline: Spark computes the same covar
-    # batch over the MATERIALIZED join (single wide table), then BGD. This
-    # is the apples-to-apples engine comparison: same Spark substrate, no
-    # aggregate pushdown, materialization required.
-    from repro.core.join_tree import JoinTree
-    from repro.core.schema import Attribute, Database, Relation
-
-    joined_db = Database(
-        [
-            Relation(
-                "joined_train",
-                tuple(Attribute(c, spec.db.kind(c)) for c in join_df.columns),
-            )
-        ]
-    )
-    joined_tree = JoinTree(joined_db, [])
-    join_cached = join_df.cache()
-    join_cached.count()
-    with timer() as t_mllib:
-        res = run_per_query_spark(
-            spark, {"joined_train": join_cached}, joined_tree, queries
+        # MLlib-style same-substrate baseline: Spark computes the same covar
+        # batch over the MATERIALIZED join (single wide table), then BGD. This
+        # is the apples-to-apples engine comparison: same Spark substrate, no
+        # aggregate pushdown, materialization required.
+        join_cached = join_df.cache()
+        join_cached.count()
+        with timer() as t_mllib:
+            res = _batch_over_join(spark, spec, join_cached, queries)
+            cm3 = assemble_covar(res, cont, cats, label)
+            m3 = learn_bgd(cm3, label)
+        join_cached.unpersist()
+        rows.append(
+            {
+                "dataset": name,
+                "system": "MLlib proxy (Spark over materialized join; + Join row)",
+                "time_s": t_mllib["s"] + t_join["s"],
+                "rmse_test": m3.rmse(Xt, yt),
+            }
         )
-        cm3 = assemble_covar(res, cont, cats, label)
-        m3 = learn_bgd(cm3, label)
-    join_cached.unpersist()
-    rows.append(
-        {
-            "dataset": name,
-            "system": "MLlib proxy (Spark over materialized join; + Join row)",
-            "time_s": t_mllib["s"] + t_join["s"],
-            "rmse_test": m3.rmse(Xt, yt),
-        }
-    )
 
-    # TensorFlow proxy: 1 epoch of full-batch GD over the materialized join
-    with timer() as t_tf:
-        X, y, _ = one_hot(train_pdf, cont, cats, label, cm.cat_values)
-        theta_tf = gd_epochs(X, y, epochs=1)
-    Xb, yb, _ = one_hot(test_joined, cont, cats, label, cm.cat_values)
-    rows.append({"dataset": name, "system": "TensorFlow proxy (1 epoch GD, materialized)", "time_s": t_tf["s"], "rmse_test": rmse(Xb, yb, theta_tf)})
+        # TensorFlow proxy: 1 epoch of full-batch GD over the materialized join
+        with timer() as t_tf:
+            X, y, _ = one_hot(train_pdf, cont, cats, label, cm.cat_values)
+            theta_tf = gd_epochs(X, y, epochs=1)
+        Xb, yb, _ = one_hot(test_joined, cont, cats, label, cm.cat_values)
+        rows.append({"dataset": name, "system": "TensorFlow proxy (1 epoch GD, materialized)", "time_s": t_tf["s"], "rmse_test": rmse(Xb, yb, theta_tf)})
 
-    # MADlib proxy: closed-form OLS/ridge over the materialized join
-    with timer() as t_ml:
-        X, y, _ = one_hot(train_pdf, cont, cats, label, cm.cat_values)
-        theta_ml = closed_form_materialized(X, y)
-    rows.append({"dataset": name, "system": "MADlib proxy (closed form, materialized)", "time_s": t_ml["s"], "rmse_test": rmse(Xb, yb, theta_ml)})
-
-    train[spec.fact].unpersist()
-    for df in relations.values():
-        df.unpersist()
+        # MADlib proxy: closed-form OLS/ridge over the materialized join
+        with timer() as t_ml:
+            X, y, _ = one_hot(train_pdf, cont, cats, label, cm.cat_values)
+            theta_ml = closed_form_materialized(X, y)
+        rows.append({"dataset": name, "system": "MADlib proxy (closed form, materialized)", "time_s": t_ml["s"], "rmse_test": rmse(Xb, yb, theta_ml)})
     return rows
 
 
@@ -383,45 +429,42 @@ def tree_rows(
 ) -> list[dict]:
     """Decision-tree block of Table 4 (regression) / Table 5 (classification)."""
     spec = all_datasets()[name]
-    relations, sizes = load_dataset(spark, spec, sf)
-    train, test_joined = _train_test(spark, spec, relations)
-    cont = spec.continuous_features()
-    cats = tuple(c for c in spec.cm_cats if c != spec.label)
-    label = spec.label
-    n_train = train[spec.fact].count()
-    # paper uses 1000 over 84-125M-row facts; scale proportionally, floor 50
-    min_split = min_split or max(50, int(n_train * 2e-3))
-    thresholds = compute_thresholds(train, spec.db, cont, n_buckets)
-    rows = []
+    with loaded(spark, spec, sf) as (train, sizes):
+        test_joined = _split_train(spark, spec, train)
+        cont = spec.continuous_features()
+        cats = tuple(c for c in spec.cm_cats if c != spec.label)
+        label = spec.label
+        n_train = train[spec.fact].count()
+        # paper uses 1000 over 84-125M-row facts; scale proportionally, floor 50
+        min_split = min_split or max(50, int(n_train * 2e-3))
+        thresholds = compute_thresholds(train, spec.db, cont, n_buckets)
+        rows = []
 
-    engine = LMFAO(spec.tree(), sizes)
-    with timer() as t_lmfao:
-        dt = learn_tree(
-            spark, train, engine, cont=cont, cats=cats, label=label, kind=kind,
-            max_depth=max_depth, min_split=min_split, thresholds=thresholds,
-        )
-    acc_l = _tree_accuracy(dt.predict(test_joined), test_joined[label], kind)
-    rows.append({"dataset": name, "system": f"LMFAO ({dt.n_nodes()} nodes)", "time_s": t_lmfao["s"], "accuracy": acc_l})
+        engine = LMFAO(spec.tree(), sizes)
+        with timer() as t_lmfao:
+            dt = learn_tree(
+                spark, train, engine, cont=cont, cats=cats, label=label, kind=kind,
+                max_depth=max_depth, min_split=min_split, thresholds=thresholds,
+            )
+        acc_l = _tree_accuracy(dt.predict(test_joined), test_joined[label], kind)
+        rows.append({"dataset": name, "system": f"LMFAO ({dt.n_nodes()} nodes)", "time_s": t_lmfao["s"], "accuracy": acc_l})
 
-    with timer() as t_join:
-        join_df = materialize_join(spark, train, spec.tree(), spec.fact)
-        train_pdf = join_df.toPandas()
-    with timer() as t_bl:
-        bl_nodes = pandas_cart(
-            train_pdf, cont=cont, cats=cats, label=label, kind=kind,
-            max_depth=max_depth, min_split=min_split, thresholds=thresholds,
+        with timer() as t_join:
+            join_df = materialize_join(spark, train, spec.tree(), spec.fact)
+            train_pdf = join_df.toPandas()
+        with timer() as t_bl:
+            bl_nodes = pandas_cart(
+                train_pdf, cont=cont, cats=cats, label=label, kind=kind,
+                max_depth=max_depth, min_split=min_split, thresholds=thresholds,
+            )
+        rows.append(
+            {
+                "dataset": name,
+                "system": f"materialize+pandas CART ({len(bl_nodes)} nodes, join+export {t_join['s']:.1f}s extra)",
+                "time_s": t_bl["s"] + t_join["s"],
+                "accuracy": acc_l if _same_tree(dt, bl_nodes) else float("nan"),
+            }
         )
-    rows.append(
-        {
-            "dataset": name,
-            "system": f"materialize+pandas CART ({len(bl_nodes)} nodes, join+export {t_join['s']:.1f}s extra)",
-            "time_s": t_bl["s"] + t_join["s"],
-            "accuracy": acc_l if _same_tree(dt, bl_nodes) else float("nan"),
-        }
-    )
-    train[spec.fact].unpersist()
-    for df in relations.values():
-        df.unpersist()
     return rows
 
 
@@ -463,29 +506,27 @@ def ablation_rows(
     rows = []
     for name in datasets or ["favorita", "retailer"]:
         spec = all_datasets()[name]
-        relations, sizes = load_dataset(spark, spec, sf)
         queries = build_workload(spec, "cm")
         prev = None
-        for label, opts, parallel in configs:
-            engine = LMFAO(spec.tree(), sizes, **opts)
-            with timer() as t:
-                plan = engine.compile(queries)
-                run = engine.run(spark, relations, plan, parallel=parallel)
-            run.cleanup()
-            s = plan.stats()
-            rows.append(
-                {
-                    "dataset": name,
-                    "config": label,
-                    "time_s": t["s"],
-                    "V": s["V"],
-                    "G": s["G"],
-                    "speedup_vs_prev": (prev / t["s"]) if prev else 1.0,
-                }
-            )
-            prev = t["s"]
-        for df in relations.values():
-            df.unpersist()
+        with loaded(spark, spec, sf) as (relations, sizes):
+            for label, opts, parallel in configs:
+                engine = LMFAO(spec.tree(), sizes, **opts)
+                with timer() as t:
+                    plan = engine.compile(queries)
+                    run = engine.run(spark, relations, plan, parallel=parallel)
+                run.cleanup()
+                s = plan.stats()
+                rows.append(
+                    {
+                        "dataset": name,
+                        "config": label,
+                        "time_s": t["s"],
+                        "V": s["V"],
+                        "G": s["G"],
+                        "speedup_vs_prev": (prev / t["s"]) if prev else 1.0,
+                    }
+                )
+                prev = t["s"]
     return rows
 
 
@@ -503,37 +544,22 @@ def scale_trend_rows(
     out ~5x, so the materialize-first pipeline's cost grows faster with
     scale — the mechanism behind the paper's Table 4/5 orderings.
     """
-    from repro.core.join_tree import JoinTree
-    from repro.core.schema import Attribute, Database, Relation
-
     spec = all_datasets()[name]
+    queries = covar_queries(tuple(spec.db.attrs_of_kind("cont")), spec.cm_cats)
     rows = []
     for sf in sfs:
-        relations, sizes = load_dataset(spark, spec, sf)
-        engine = LMFAO(spec.tree(), sizes)
-        queries = covar_queries(tuple(spec.db.attrs_of_kind("cont")), spec.cm_cats)
-        with timer() as t_l:
-            plan = engine.compile(queries)
-            run = engine.run(spark, relations, plan)
-        run.cleanup()
-        with timer() as t_m:
-            join_df = materialize_join(spark, relations, spec.tree(), spec.fact)
-            join_df = join_df.cache()
-            n_join = join_df.count()
-            joined_db = Database(
-                [
-                    Relation(
-                        "joined_train",
-                        tuple(
-                            Attribute(c, spec.db.kind(c)) for c in join_df.columns
-                        ),
-                    )
-                ]
-            )
-            run_per_query_spark(
-                spark, {"joined_train": join_df}, JoinTree(joined_db, []), queries
-            )
-        join_df.unpersist()
+        with loaded(spark, spec, sf) as (relations, sizes):
+            engine = LMFAO(spec.tree(), sizes)
+            with timer() as t_l:
+                plan = engine.compile(queries)
+                run = engine.run(spark, relations, plan)
+            run.cleanup()
+            with timer() as t_m:
+                join_df = materialize_join(spark, relations, spec.tree(), spec.fact)
+                join_df = join_df.cache()
+                n_join = join_df.count()
+                _batch_over_join(spark, spec, join_df, queries)
+            join_df.unpersist()
         rows.append(
             {
                 "dataset": name,
@@ -545,6 +571,4 @@ def scale_trend_rows(
                 "ratio": t_m["s"] / t_l["s"],
             }
         )
-        for df in relations.values():
-            df.unpersist()
     return rows

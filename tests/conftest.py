@@ -1,4 +1,4 @@
-"""Shared fixtures: tuned Spark session, per-dataset bundles at test SF."""
+"""Shared fixtures: per-dataset bundles at test SF."""
 from __future__ import annotations
 
 import os
@@ -12,16 +12,9 @@ from repro.baselines.ml_baselines import materialize_join
 from repro.core.engine import LMFAO
 from repro.datasets import all_datasets
 from repro.datasets.common import DatasetSpec
+from repro.harness import load_dataset
 
 SF_TEST = float(os.environ.get("REPRO_TEST_SF", "0.004"))
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _tune_spark(spark: SparkSession):
-    """Local-mode tuning: tiny inputs don't need 64 shuffle partitions."""
-    spark.sparkContext.setLogLevel("ERROR")
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    return spark
 
 
 @dataclass
@@ -39,10 +32,7 @@ class Bundle:
 
 
 def _make_bundle(spark: SparkSession, spec: DatasetSpec) -> Bundle:
-    relations = {
-        n: df.cache() for n, df in spec.generate(spark, sf=SF_TEST, seed=7).items()
-    }
-    sizes = {n: df.count() for n, df in relations.items()}
+    relations, sizes = load_dataset(spark, spec, SF_TEST, seed=7)
     engine = LMFAO(spec.tree(), sizes)
     pdfs = {n: df.toPandas() for n, df in relations.items()}
     joined = materialize_join(spark, relations, spec.tree(), spec.fact).toPandas()
@@ -50,7 +40,7 @@ def _make_bundle(spark: SparkSession, spec: DatasetSpec) -> Bundle:
 
 
 @pytest.fixture(scope="session")
-def data(spark, _tune_spark) -> dict[str, Bundle]:
+def data(spark) -> dict[str, Bundle]:
     """One bundle per evaluation dataset, built once per session."""
     return {
         name: _make_bundle(spark, spec) for name, spec in all_datasets().items()

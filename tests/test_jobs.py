@@ -37,6 +37,15 @@ def test_table2(spark):
     assert dc["A"] == 40  # paper Table 2: DC row is 40 everywhere
 
 
+def test_failed_table_releases_cached_relations(spark):
+    """A row builder that raises leaves no cached relation behind."""
+    jsc = spark.sparkContext._jsc.sc()
+    before = jsc.getPersistentRDDs().size()
+    with pytest.raises(ValueError):
+        table2_rows(spark, SF, datasets=["favorita"], workloads=("nope",))
+    assert jsc.getPersistentRDDs().size() == before
+
+
 def test_table3(spark):
     rows = table3_rows(
         spark, SF, datasets=["favorita"], workloads=("count", "dc")
