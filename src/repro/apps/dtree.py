@@ -67,6 +67,21 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return len(self.nodes)
 
+    def splits(self) -> dict[str, tuple[str, str, object] | None]:
+        """Split of every node keyed by its path: ``""`` for the root, then
+        ``"L"``/``"R"`` per level (``None`` at a leaf), the form in which
+        ``pandas_cart`` reports its nodes."""
+        out: dict[str, tuple[str, str, object] | None] = {}
+
+        def rec(node: Node, path: str) -> None:
+            out[path] = node.split
+            if node.split is not None:
+                rec(node.left, path + "L")
+                rec(node.right, path + "R")
+
+        rec(self.root, "")
+        return out
+
 
 def node_queries(
     node: Node,
@@ -300,7 +315,6 @@ def learn_tree(
         plan = engine.compile(batch)
         run = engine.run(spark, relations, plan)
         results = {q.name: run.pandas(q.name) for q in batch}
-        run.cleanup()
         new_frontier: list[Node] = []
         for nd in frontier:
             if kind == "regression":

@@ -3,7 +3,9 @@
 ``compile`` runs the logical layers (find roots → aggregate pushdown → merge
 views → group views) and returns a :class:`Plan` carrying the Table-2
 statistics (application aggregates A, intermediate aggregates I, views V,
-groups G). ``run`` executes the plan on Spark via the executor.
+groups G). ``run`` executes the plan on Spark via the executor and returns
+the query results collected to pandas (``run.pandas(q)``); nothing it cached
+outlives the call.
 
 Ablation knobs reproduce the paper's Figure-5 study:
 

@@ -11,7 +11,9 @@ v<k>_a<i> …)``, the same function text the baselines and the oracle run.
 
 Only an internal view read by two or more views is persisted and forced; a
 view with one reader stays lazy inside its reader's plan. Query views are
-collected to pandas directly, never persisted.
+collected to pandas directly, never persisted. The run owns its cache: every
+persisted view is released before ``execute`` returns or raises, so nothing
+outlives the run.
 
 Parallelization: the jobs of a wave (forcing shared views, collecting query
 views) are submitted from a thread pool — Spark's scheduler runs them
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import pandas as pd
@@ -36,31 +38,20 @@ from repro.core.views import Atom, ViewDef
 
 @dataclass
 class RunResult:
-    """Query results of one run, plus the cached shared internal views.
+    """Query results of one run, collected to pandas.
 
-    ``run[q]`` is the query's lazy DataFrame; ``run.pandas(q)`` is the frame
-    collected during the run. Call :meth:`cleanup` when done to release the
-    cached views.
+    ``run.pandas(q)`` is query ``q``'s result. The run cached nothing that
+    outlives it, so there is nothing to release.
     """
 
-    dataframes: dict[str, DataFrame]
     collected: dict[str, pd.DataFrame]
-    _cached: list[DataFrame] = field(default_factory=list)
-
-    def __getitem__(self, query_name: str) -> DataFrame:
-        return self.dataframes[query_name]
 
     def pandas(self, query_name: str) -> pd.DataFrame:
         return self.collected[query_name]
 
     def cleanup(self) -> None:
-        _unpersist(self._cached)
-
-
-def _unpersist(cached: list[DataFrame]) -> None:
-    for df in cached:
-        df.unpersist()
-    cached.clear()
+        """No-op, kept for callers written against the release-when-done
+        lifecycle: ``execute`` releases its cached views itself."""
 
 
 def _atom_sql(atom: Atom, views: list[ViewDef]) -> str:
@@ -120,18 +111,18 @@ def execute(
 ) -> RunResult:
     """Evaluate all views wave by wave; returns the collected query results.
 
-    If any job fails, every view persisted so far is released before the
-    error propagates.
+    Every view persisted along the way is released before this returns, also
+    when a build or a job raises: by the end of the last wave every query
+    view is collected, so no cached view is still needed.
     """
     readers = Counter(w for v in views for w in v.incoming)
     workers = spark.sparkContext.defaultParallelism if parallel else 1
     built: dict[int, DataFrame] = {}
     cached: list[DataFrame] = []
-    results: dict[str, DataFrame] = {}
     collected: dict[str, pd.DataFrame] = {}
 
-    def collect(name: str) -> None:
-        collected[name] = results[name].toPandas()
+    def collect(name: str, df: DataFrame) -> None:
+        collected[name] = df.toPandas()
 
     try:
         for wave in grouping.waves:
@@ -144,8 +135,7 @@ def execute(
                     v = views[vid]
                     df = _view_df(v, views, tree, relations, built)
                     if v.is_query:
-                        results[v.query_name] = df
-                        jobs.append(partial(collect, v.query_name))
+                        jobs.append(partial(collect, v.query_name, df))
                     elif readers[vid] > 1:
                         # forced now, so parallel readers do not race to fill it
                         df = df.persist()
@@ -155,7 +145,7 @@ def execute(
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 for fut in [pool.submit(job) for job in jobs]:
                     fut.result()
-    except BaseException:
-        _unpersist(cached)
-        raise
-    return RunResult(results, collected, cached)
+    finally:
+        for df in cached:
+            df.unpersist()
+    return RunResult(collected)

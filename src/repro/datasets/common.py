@@ -75,9 +75,6 @@ class DatasetSpec:
             a for a in self.db.attrs_of_kind("cont") if a != self.label
         )
 
-    def categorical_features(self) -> tuple[str, ...]:
-        return tuple(a for a in self.db.attrs_of_kind("cat") if a != self.label)
-
     def split_fact(
         self, fact_df: DataFrame, *, test_frac: float = 0.1
     ) -> tuple[DataFrame, DataFrame]:

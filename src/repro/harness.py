@@ -121,6 +121,17 @@ def loaded(spark: SparkSession, spec: DatasetSpec, sf: float, seed: int = BENCH_
 
 
 @contextmanager
+def cached(df: DataFrame):
+    """``df`` cached for the body; unpersisted on exit, also when the body
+    raises."""
+    df.cache()
+    try:
+        yield
+    finally:
+        df.unpersist()
+
+
+@contextmanager
 def timer():
     box = {}
     t0 = time.perf_counter()
@@ -206,9 +217,7 @@ def table2_rows(
             for wl in workloads:
                 queries = build_workload(spec, wl, relations)
                 plan = engine.compile(queries)
-                run = engine.run(spark, relations, plan)
-                size_mb = result_size_mb(run)
-                run.cleanup()
+                size_mb = result_size_mb(engine.run(spark, relations, plan))
                 s = plan.stats()
                 rows.append(
                     {
@@ -272,8 +281,7 @@ def table3_rows(
                 if "lmfao" in systems:
                     with timer() as t:
                         plan = engine.compile(queries)
-                        run = engine.run(spark, relations, plan)
-                    run.cleanup()
+                        engine.run(spark, relations, plan)
                     row["lmfao_s"] = t["s"]
                 if "spark_pq" in systems:
                     with timer() as t:
@@ -367,7 +375,6 @@ def linreg_rows(spark: SparkSession, name: str, sf: float = BENCH_SF) -> list[di
             results = {q.name: run.pandas(q.name) for q in queries}
             cm = assemble_covar(results, cont, cats, label)
             model = learn_bgd(cm, label)
-        run.cleanup()
         Xt, yt = design_matrix(test_joined, cm, cont, cats, label)
         rows.append({"dataset": name, "system": "LMFAO (covar + BGD)", "time_s": t_lmfao["s"], "rmse_test": model.rmse(Xt, yt)})
 
@@ -379,20 +386,18 @@ def linreg_rows(spark: SparkSession, name: str, sf: float = BENCH_SF) -> list[di
             results = {q.name: run.pandas(q.name) for q in queries}
             cm2 = assemble_covar(results, cont, cats, label)
             m2 = learn_bgd(cm2, label)
-        run.cleanup()
         rows.append({"dataset": name, "system": "AC/DC proxy (no sharing)", "time_s": t_acdc["s"], "rmse_test": m2.rmse(Xt, yt)})
 
         # MLlib-style same-substrate baseline: Spark computes the same covar
         # batch over the MATERIALIZED join (single wide table), then BGD. This
         # is the apples-to-apples engine comparison: same Spark substrate, no
         # aggregate pushdown, materialization required.
-        join_cached = join_df.cache()
-        join_cached.count()
-        with timer() as t_mllib:
-            res = _batch_over_join(spark, spec, join_cached, queries)
-            cm3 = assemble_covar(res, cont, cats, label)
-            m3 = learn_bgd(cm3, label)
-        join_cached.unpersist()
+        with cached(join_df):
+            join_df.count()
+            with timer() as t_mllib:
+                res = _batch_over_join(spark, spec, join_df, queries)
+                cm3 = assemble_covar(res, cont, cats, label)
+                m3 = learn_bgd(cm3, label)
         rows.append(
             {
                 "dataset": name,
@@ -457,12 +462,13 @@ def tree_rows(
                 train_pdf, cont=cont, cats=cats, label=label, kind=kind,
                 max_depth=max_depth, min_split=min_split, thresholds=thresholds,
             )
+        cart_splits = {n["path"]: n["split"] for n in bl_nodes}
         rows.append(
             {
                 "dataset": name,
                 "system": f"materialize+pandas CART ({len(bl_nodes)} nodes, join+export {t_join['s']:.1f}s extra)",
                 "time_s": t_bl["s"] + t_join["s"],
-                "accuracy": acc_l if _same_tree(dt, bl_nodes) else float("nan"),
+                "accuracy": acc_l if dt.splits() == cart_splits else float("nan"),
             }
         )
     return rows
@@ -473,20 +479,6 @@ def _tree_accuracy(pred: np.ndarray, actual, kind: str) -> float:
     if kind == "regression":
         return float(np.sqrt(np.mean((pred - actual) ** 2)))  # RMSE
     return float((pred == actual).mean())  # accuracy
-
-
-def _same_tree(dt, bl_nodes) -> bool:
-    got = {}
-
-    def rec(node, path):
-        got[path] = node.split
-        if node.split is not None:
-            rec(node.left, path + "L")
-            rec(node.right, path + "R")
-
-    rec(dt.root, "")
-    exp = {n["path"]: n["split"] for n in bl_nodes}
-    return got == exp
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +505,7 @@ def ablation_rows(
                 engine = LMFAO(spec.tree(), sizes, **opts)
                 with timer() as t:
                     plan = engine.compile(queries)
-                    run = engine.run(spark, relations, plan, parallel=parallel)
-                run.cleanup()
+                    engine.run(spark, relations, plan, parallel=parallel)
                 s = plan.stats()
                 rows.append(
                     {
@@ -552,14 +543,12 @@ def scale_trend_rows(
             engine = LMFAO(spec.tree(), sizes)
             with timer() as t_l:
                 plan = engine.compile(queries)
-                run = engine.run(spark, relations, plan)
-            run.cleanup()
+                engine.run(spark, relations, plan)
             with timer() as t_m:
                 join_df = materialize_join(spark, relations, spec.tree(), spec.fact)
-                join_df = join_df.cache()
-                n_join = join_df.count()
-                _batch_over_join(spark, spec, join_df, queries)
-            join_df.unpersist()
+                with cached(join_df):
+                    n_join = join_df.count()
+                    _batch_over_join(spark, spec, join_df, queries)
         rows.append(
             {
                 "dataset": name,

@@ -68,11 +68,8 @@ def tpcds(data) -> Bundle:
 
 
 def run_batch(spark, bundle: Bundle, queries, engine: LMFAO | None = None):
-    """Compile+run a batch, collect pandas results, release caches."""
+    """Compile+run a batch; returns the pandas results and the plan."""
     eng = engine or bundle.engine
     plan = eng.compile(queries)
     run = eng.run(spark, bundle.relations, plan)
-    try:
-        return {q.name: run.pandas(q.name) for q in queries}, plan
-    finally:
-        run.cleanup()
+    return {q.name: run.pandas(q.name) for q in queries}, plan

@@ -7,26 +7,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps.dtree import (
-    DecisionTree,
-    compute_thresholds,
-    learn_tree,
-)
+from repro.apps.dtree import compute_thresholds, learn_tree
 from repro.baselines.ml_baselines import pandas_cart
-
-
-def _tree_paths(tree: DecisionTree) -> dict[str, tuple]:
-    """Map root-to-node path strings to splits for structural comparison."""
-    out = {}
-
-    def rec(node, path):
-        out[path] = node.split
-        if node.split is not None:
-            rec(node.left, path + "L")
-            rec(node.right, path + "R")
-
-    rec(tree.root, "")
-    return out
 
 
 def _baseline_paths(nodes: list[dict]) -> dict[str, tuple]:
@@ -49,7 +31,7 @@ def test_regression_tree_matches_pandas_cart(spark, data, name):
               max_depth=2, min_split=30)
     dt = learn_tree(spark, bundle.relations, bundle.engine, thresholds=thr, **kw)
     bl = pandas_cart(bundle.joined, thresholds=thr, **kw)
-    got, exp = _tree_paths(dt), _baseline_paths(bl)
+    got, exp = dt.splits(), _baseline_paths(bl)
     assert set(got) == set(exp), "tree shapes differ"
     for path in exp:
         assert got[path] == exp[path], f"split at {path!r} differs"
@@ -65,7 +47,7 @@ def test_classification_tree_matches_pandas_cart(spark, data):
               max_depth=2, min_split=30)
     dt = learn_tree(spark, bundle.relations, bundle.engine, thresholds=thr, **kw)
     bl = pandas_cart(bundle.joined, thresholds=thr, **kw)
-    got, exp = _tree_paths(dt), _baseline_paths(bl)
+    got, exp = dt.splits(), _baseline_paths(bl)
     assert set(got) == set(exp)
     for path in exp:
         assert got[path] == exp[path], f"split at {path!r} differs"

@@ -10,13 +10,9 @@ import pytest
 from repro.baselines.duckdb_batch import run_per_query_duckdb
 from repro.baselines.ml_baselines import gd_epochs, materialize_join, one_hot
 from repro.baselines.sql_batch import run_per_query_spark
+from repro.oracle import assert_frames_agree
 from repro.workloads import build_workload
 from tests.conftest import run_batch
-
-
-def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
-    pdf = pdf[sorted(pdf.columns)].astype(float)
-    return pdf.sort_values(list(pdf.columns)).reset_index(drop=True).round(6)
 
 
 @pytest.mark.parametrize("wl", ["count", "mi", "dc"])
@@ -28,9 +24,8 @@ def test_three_way_agreement(spark, data, name, wl):
     spark_pq = run_per_query_spark(spark, bundle.relations, bundle.spec.tree(), queries)
     duck_pq = run_per_query_duckdb(bundle.pandas, bundle.spec.tree(), queries)
     for q in queries:
-        a, b, c = _canon(lmfao[q.name]), _canon(spark_pq[q.name]), _canon(duck_pq[q.name])
-        pd.testing.assert_frame_equal(a, b, check_dtype=False)
-        pd.testing.assert_frame_equal(a, c, check_dtype=False)
+        assert_frames_agree(lmfao[q.name], spark_pq[q.name])
+        assert_frames_agree(lmfao[q.name], duck_pq[q.name])
 
 
 def test_cm_agreement_small(spark, favorita):
@@ -40,9 +35,7 @@ def test_cm_agreement_small(spark, favorita):
     lmfao, _ = run_batch(spark, favorita, queries)
     duck_pq = run_per_query_duckdb(favorita.pandas, favorita.spec.tree(), queries)
     for q in queries:
-        pd.testing.assert_frame_equal(
-            _canon(lmfao[q.name]), _canon(duck_pq[q.name]), check_dtype=False
-        )
+        assert_frames_agree(lmfao[q.name], duck_pq[q.name])
 
 
 def test_materialize_join_matches_duckdb(spark, favorita):
@@ -82,9 +75,7 @@ def test_per_query_spark_handles_rt(spark, favorita):
     lmfao, _ = run_batch(spark, favorita, queries)
     duck_pq = run_per_query_duckdb(favorita.pandas, favorita.spec.tree(), queries)
     for q in queries:
-        pd.testing.assert_frame_equal(
-            _canon(lmfao[q.name]), _canon(duck_pq[q.name]), check_dtype=False
-        )
+        assert_frames_agree(lmfao[q.name], duck_pq[q.name])
 
 
 @pytest.mark.parametrize("wl", ["count", "cm", "rt"])

@@ -88,11 +88,8 @@ def test_engine_matches_duckdb(spark, data, ds, case_idx):
     q = Query(f"q_{name}", gb, aggs)
     plan = bundle.engine.compile([q])
     run = bundle.engine.run(spark, bundle.relations, plan)
-    try:
-        sql = render_query_sql(bundle.spec.tree(), q)
-        assert_equivalent(run[q.name], sql, **bundle.pandas)
-    finally:
-        run.cleanup()
+    sql = render_query_sql(bundle.spec.tree(), q)
+    assert_equivalent(run.pandas(q.name), sql, **bundle.pandas)
 
 
 @pytest.mark.parametrize("ds", sorted(CASES))
@@ -106,15 +103,12 @@ def test_whole_batch_shares_views_and_stays_correct(spark, data, ds):
     n_edges = len(bundle.spec.tree().edges)
     assert stats["V"] < len(queries) * n_edges, "no sharing happened"
     run = bundle.engine.run(spark, bundle.relations, plan)
-    try:
-        for q in queries:
-            assert_equivalent(
-                run[q.name],
-                render_query_sql(bundle.spec.tree(), q),
-                **bundle.pandas,
-            )
-    finally:
-        run.cleanup()
+    for q in queries:
+        assert_equivalent(
+            run.pandas(q.name),
+            render_query_sql(bundle.spec.tree(), q),
+            **bundle.pandas,
+        )
 
 
 @pytest.mark.parametrize(
@@ -143,15 +137,12 @@ def test_ablation_configs_agree(spark, favorita, multi_root, merge, parallel):
     )
     plan = eng.compile(queries)
     run = eng.run(spark, favorita.relations, plan, parallel=parallel)
-    try:
-        for q in queries:
-            assert_equivalent(
-                run[q.name],
-                render_query_sql(favorita.spec.tree(), q),
-                **favorita.pandas,
-            )
-    finally:
-        run.cleanup()
+    for q in queries:
+        assert_equivalent(
+            run.pandas(q.name),
+            render_query_sql(favorita.spec.tree(), q),
+            **favorita.pandas,
+        )
 
 
 def test_explicit_roots_override(spark, favorita):
@@ -162,12 +153,9 @@ def test_explicit_roots_override(spark, favorita):
         plan = favorita.engine.compile([q], roots={"q": root})
         assert plan.roots["q"] == root
         run = favorita.engine.run(spark, favorita.relations, plan)
-        try:
-            assert_equivalent(
-                run["q"], render_query_sql(tree, q), **favorita.pandas
-            )
-        finally:
-            run.cleanup()
+        assert_equivalent(
+            run.pandas("q"), render_query_sql(tree, q), **favorita.pandas
+        )
 
 
 def test_duplicate_query_names_rejected(favorita):

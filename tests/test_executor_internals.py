@@ -1,5 +1,5 @@
 """Executor-internals tests: column pruning, which views are persisted,
-run-result lifecycle and cleanup after a failed run, Example 3.3 numeric
+nothing left cached after a run or a failed run, Example 3.3 numeric
 correctness on a chain database."""
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
+from pyspark.sql.classic.dataframe import DataFrame
 
 from repro.core.engine import LMFAO, result_size_mb
 from repro.core.executor import _used_source_columns
@@ -73,18 +74,15 @@ def test_example_3_3_counts_correct(spark, chain):
     joined = (
         pdfs["S1"].merge(pdfs["S2"]).merge(pdfs["S3"]).merge(pdfs["S4"])
     )
-    try:
-        for i in range(1, 6):
-            got = (
-                run.pandas(f"Q{i}")
-                .set_index(f"X{i}")["agg0"]
-                .astype(int)
-                .sort_index()
-            )
-            exp = joined.groupby(f"X{i}").size().sort_index()
-            assert got.to_dict() == exp.to_dict(), f"Q{i} mismatch"
-    finally:
-        run.cleanup()
+    for i in range(1, 6):
+        got = (
+            run.pandas(f"Q{i}")
+            .set_index(f"X{i}")["agg0"]
+            .astype(int)
+            .sort_index()
+        )
+        exp = joined.groupby(f"X{i}").size().sort_index()
+        assert got.to_dict() == exp.to_dict(), f"Q{i} mismatch"
 
 
 def test_example_3_3_pair_counts(spark, chain):
@@ -94,39 +92,34 @@ def test_example_3_3_pair_counts(spark, chain):
     plan = engine.compile([q])
     run = engine.run(spark, rels, plan)
     joined = pdfs["S1"].merge(pdfs["S2"]).merge(pdfs["S3"]).merge(pdfs["S4"])
-    try:
-        got = {
-            (r.X1, r.X4): int(r.agg0)
-            for r in run.pandas("p").itertuples()
-        }
-        exp = joined.groupby(["X1", "X4"]).size().to_dict()
-        assert got == exp
-    finally:
-        run.cleanup()
+    got = {
+        (r.X1, r.X4): int(r.agg0)
+        for r in run.pandas("p").itertuples()
+    }
+    exp = joined.groupby(["X1", "X4"]).size().to_dict()
+    assert got == exp
 
 
 def test_run_result_lifecycle(spark, favorita):
-    q = Query("q", (), (count(),))
-    plan = favorita.engine.compile([q])
+    """A run that persists shared views releases them before it returns:
+    the persistent-RDD count after ``run`` equals the count before it."""
+    queries = build_workload(favorita.spec, "cm")
+    plan = favorita.engine.compile(queries)
+    assert _shared_views(plan)
+    jsc = spark.sparkContext._jsc.sc()
+    before = jsc.getPersistentRDDs().size()
     run = favorita.engine.run(spark, favorita.relations, plan)
-    assert run["q"].count() == 1
-    pdf = run.pandas("q")
-    assert len(pdf) == 1
-    run.cleanup()
-    assert run._cached == []
-    run.cleanup()  # idempotent
+    assert jsc.getPersistentRDDs().size() == before
+    assert all(len(run.pandas(q.name)) > 0 for q in queries)
 
 
 def test_result_size_mb_counts_values(spark, favorita):
     q = Query("q", ("family",), (count(),))
     plan = favorita.engine.compile([q])
     run = favorita.engine.run(spark, favorita.relations, plan)
-    try:
-        n_rows = run["q"].count()
-        mb = result_size_mb(run)
-        assert abs(mb - n_rows * 2 * 8 / 2**20) < 1e-9
-    finally:
-        run.cleanup()
+    n_rows = len(run.pandas("q"))
+    mb = result_size_mb(run)
+    assert abs(mb - n_rows * 2 * 8 / 2**20) < 1e-9
 
 
 def _shared_views(plan):
@@ -135,20 +128,24 @@ def _shared_views(plan):
     return [v for v in plan.views if readers[v.vid] >= 2]
 
 
-def test_only_shared_internal_views_are_cached(spark, favorita):
+def test_only_shared_internal_views_are_cached(spark, favorita, monkeypatch):
     """Views with one reader stay lazy in their reader's plan and query
     views are collected, not persisted: only shared views are cached."""
     plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
     shared = _shared_views(plan)
     assert shared and all(not v.is_query for v in shared)
-    run = favorita.engine.run(spark, favorita.relations, plan)
-    try:
-        assert len(run._cached) == len(shared)
-        assert {tuple(df.columns) for df in run._cached} == {
-            (*v.group_by, *(v.col(i) for i in range(len(v.atoms)))) for v in shared
-        }
-    finally:
-        run.cleanup()
+    persisted = []
+    persist = DataFrame.persist
+
+    def spy(df, *args, **kwargs):
+        persisted.append(tuple(df.columns))
+        return persist(df, *args, **kwargs)
+
+    monkeypatch.setattr(DataFrame, "persist", spy)
+    favorita.engine.run(spark, favorita.relations, plan)
+    assert sorted(persisted) == sorted(
+        (*v.group_by, *(v.col(i) for i in range(len(v.atoms)))) for v in shared
+    )
 
 
 @pytest.mark.parametrize("failure", ["missing_attribute", "job_error"])

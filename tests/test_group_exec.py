@@ -9,6 +9,7 @@ from repro.core.expr import count, ident, sum_of
 from repro.core.group import group_views
 from repro.core.query import Query
 from repro.core.views import ViewDef, ViewRegistry, decompose_query
+from repro.oracle import assert_frames_agree
 from repro.workloads import build_workload
 
 
@@ -88,19 +89,5 @@ def test_parallel_and_sequential_agree(spark, favorita):
     plan = _plan(favorita, queries)
     seq = favorita.engine.run(spark, favorita.relations, plan, parallel=False)
     par = favorita.engine.run(spark, favorita.relations, plan, parallel=True)
-    try:
-        for q in queries:
-            a = seq.pandas(q.name).sort_values(list(seq[q.name].columns))
-            b = par.pandas(q.name).sort_values(list(par[q.name].columns))
-            assert a.reset_index(drop=True).equals(b.reset_index(drop=True)) or (
-                abs(
-                    a.reset_index(drop=True).select_dtypes("number")
-                    - b.reset_index(drop=True).select_dtypes("number")
-                )
-                .max()
-                .max()
-                < 1e-9
-            )
-    finally:
-        seq.cleanup()
-        par.cleanup()
+    for q in queries:
+        assert_frames_agree(par.pandas(q.name), seq.pandas(q.name))

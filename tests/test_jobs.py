@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro import harness
 from repro.harness import (
     ablation_rows,
     linreg_rows,
@@ -43,6 +44,23 @@ def test_failed_table_releases_cached_relations(spark):
     before = jsc.getPersistentRDDs().size()
     with pytest.raises(ValueError):
         table2_rows(spark, SF, datasets=["favorita"], workloads=("nope",))
+    assert jsc.getPersistentRDDs().size() == before
+
+
+@pytest.mark.parametrize("failing", ["learn_bgd", "_batch_over_join"])
+def test_failed_linreg_releases_cached_frames(spark, monkeypatch, failing):
+    """The linear-regression block leaves nothing cached when it raises
+    after an engine run (``learn_bgd``) or while the materialized join is
+    cached (``_batch_over_join``)."""
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(harness, failing, fail)
+    jsc = spark.sparkContext._jsc.sc()
+    before = jsc.getPersistentRDDs().size()
+    with pytest.raises(RuntimeError, match="injected failure"):
+        linreg_rows(spark, "favorita", SF)
     assert jsc.getPersistentRDDs().size() == before
 
 

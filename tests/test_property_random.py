@@ -52,12 +52,7 @@ def test_random_query_matches_duckdb(spark, favorita, q, root_idx):
     root = tree.nodes[root_idx % len(tree.nodes)]
     plan = favorita.engine.compile([q], roots={"q": root})
     run = favorita.engine.run(spark, favorita.relations, plan)
-    try:
-        assert_equivalent(
-            run["q"], render_query_sql(tree, q), **favorita.pandas
-        )
-    finally:
-        run.cleanup()
+    assert_equivalent(run.pandas("q"), render_query_sql(tree, q), **favorita.pandas)
 
 
 @settings(
@@ -76,12 +71,9 @@ def test_random_batch_sharing_preserves_results(spark, favorita, qs):
     ]
     plan = favorita.engine.compile(queries)
     run = favorita.engine.run(spark, favorita.relations, plan)
-    try:
-        for q in queries:
-            assert_equivalent(
-                run[q.name],
-                render_query_sql(favorita.spec.tree(), q),
-                **favorita.pandas,
-            )
-    finally:
-        run.cleanup()
+    for q in queries:
+        assert_equivalent(
+            run.pandas(q.name),
+            render_query_sql(favorita.spec.tree(), q),
+            **favorita.pandas,
+        )
