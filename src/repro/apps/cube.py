@@ -33,10 +33,8 @@ def assemble_cube(
     results: dict[str, pd.DataFrame],
     dims: tuple[str, ...],
     measures: tuple[str, ...],
-    *,
-    all_value: int = -1,
 ) -> pd.DataFrame:
-    """Union all grouping sets into one 1NF table with ALL = ``all_value``."""
+    """Union all grouping sets into one 1NF table with ALL = -1."""
     frames = []
     mcols = [f"m{i}" for i in range(len(measures))]
     for k in range(len(dims) + 1):
@@ -45,6 +43,6 @@ def assemble_cube(
             df = results[qname].copy()
             for d in dims:
                 if d not in subset:
-                    df[d] = all_value
+                    df[d] = -1
             frames.append(df[list(dims) + mcols])
     return pd.concat(frames, ignore_index=True)

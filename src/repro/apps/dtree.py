@@ -1,19 +1,22 @@
 """CART decision trees over LMFAO aggregate batches (paper §2, queries (8)-(10)).
 
 Each tree node is learned from one aggregate batch over the *input database*
-(never the materialized join): for regression, COUNT / SUM(y) / SUM(y^2)
-under the node's context conjunction times each candidate split condition;
-for classification, per-class counts. Candidate conditions are Kronecker
-deltas — the paper's *dynamic functions*: they change every iteration, so
-the plan is re-compiled per tree level (LMFAO recompiles and dynamically
-links a small C++ file; we re-run the logical layers, Catalyst re-plans).
+(never the materialized join): the split criterion's moments under the
+node's context conjunction times each candidate split condition. Candidate
+conditions are Kronecker deltas — the paper's *dynamic functions*: they
+change every iteration, so the plan is re-compiled per tree level (LMFAO
+recompiles and dynamically links a small C++ file; we re-run the logical
+layers, Catalyst re-plans).
 
-All nodes of a level are batched together: one LMFAO run per level, exactly
-the paper's iterative CART driver.
+The criterion (``Variance`` or ``Gini``) is all that differs between
+regression and classification, as in PLANET and Spark MLlib's trees. All
+nodes of a level are batched together: one LMFAO run per level, exactly the
+paper's iterative CART driver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pandas as pd
@@ -83,72 +86,6 @@ class DecisionTree:
         return out
 
 
-def node_queries(
-    node: Node,
-    cont: tuple[str, ...],
-    cats: tuple[str, ...],
-    label: str,
-    thresholds: dict[str, list[float]],
-    kind: str,
-) -> list[Query]:
-    """The aggregate batch for a single tree node (paper (8)-(10)).
-
-    Regression: a scalar query with the node totals plus 3 aggregates per
-    (continuous attr, threshold), and one group-by query per categorical
-    attr. Classification: the same shapes grouped by the label.
-    """
-    ctx = node.conds
-    qs: list[Query] = []
-    if kind == "regression":
-        aggs: list[SumProduct] = [
-            SumProduct((Product(ctx),)),
-            SumProduct((Product(ctx + (Factor("id", (label,)),)),)),
-            SumProduct((Product(ctx + (power(label, 2),)),)),
-        ]
-        names = ["cnt", "s", "ss"]
-        for a in cont:
-            for ti, t in enumerate(thresholds[a]):
-                d = (delta(a, "<=", t),)
-                aggs += [
-                    SumProduct((Product(ctx + d),)),
-                    SumProduct((Product(ctx + d + (Factor("id", (label,)),)),)),
-                    SumProduct((Product(ctx + d + (power(label, 2),)),)),
-                ]
-                names += [f"cnt_{a}_{ti}", f"s_{a}_{ti}", f"ss_{a}_{ti}"]
-        qs.append(Query(f"n{node.nid}_num", (), tuple(aggs), tuple(names)))
-        for c in cats:
-            qs.append(
-                Query(
-                    f"n{node.nid}_cat__{c}",
-                    (c,),
-                    (
-                        SumProduct((Product(ctx),)),
-                        SumProduct((Product(ctx + (Factor("id", (label,)),)),)),
-                        SumProduct((Product(ctx + (power(label, 2),)),)),
-                    ),
-                    ("cnt", "s", "ss"),
-                )
-            )
-    else:
-        aggs = [SumProduct((Product(ctx),))]
-        names = ["cnt"]
-        for a in cont:
-            for ti, t in enumerate(thresholds[a]):
-                aggs.append(SumProduct((Product(ctx + (delta(a, "<=", t),)),)))
-                names.append(f"cnt_{a}_{ti}")
-        qs.append(Query(f"n{node.nid}_num", (label,), tuple(aggs), tuple(names)))
-        for c in cats:
-            qs.append(
-                Query(
-                    f"n{node.nid}_cat__{c}",
-                    (c, label),
-                    (SumProduct((Product(ctx),)),),
-                    ("cnt",),
-                )
-            )
-    return qs
-
-
 def _variance(cnt: float, s: float, ss: float) -> float:
     if cnt <= 0:
         return 0.0
@@ -162,94 +99,136 @@ def _gini_cost(class_counts: np.ndarray) -> float:
     return float(n * (1.0 - ((class_counts / n) ** 2).sum()))
 
 
-def best_split_regression(
+@dataclass(frozen=True)
+class Variance:
+    """Regression criterion: COUNT, SUM(y) and SUM(y^2) per side; the cost is
+    the sum of squared deviations, the prediction the mean."""
+
+    label: str
+    names = ("cnt", "s", "ss")
+    group_by = ()
+
+    @property
+    def moments(self) -> tuple[tuple[Factor, ...], ...]:
+        return ((), (Factor("id", (self.label,)),), (power(self.label, 2),))
+
+    def bind(self, relations: dict[str, DataFrame], db) -> "Variance":
+        return self
+
+    def stats(self, frame: pd.DataFrame, suffix: str) -> np.ndarray:
+        return np.array([frame[n + suffix].iat[0] for n in self.names], dtype=float)
+
+    def size(self, st: np.ndarray) -> float:
+        return float(st[0])
+
+    def cost(self, st: np.ndarray) -> float:
+        return _variance(*st)
+
+    def predict(self, st: np.ndarray) -> float:
+        return st[1] / st[0] if st[0] > 0 else 0.0
+
+
+@dataclass(frozen=True)
+class Gini:
+    """Classification criterion: one COUNT per class (the batch groups by the
+    label); the cost is the weighted Gini impurity, the prediction the
+    majority class."""
+
+    label: str
+    classes: tuple = ()
+    names = ("cnt",)
+    moments = ((),)
+
+    @property
+    def group_by(self) -> tuple[str, ...]:
+        return (self.label,)
+
+    def bind(self, relations: dict[str, DataFrame], db) -> "Gini":
+        """The classes are the label's distinct values on its home relation."""
+        home = db.relations_containing(self.label)[0]
+        rows = relations[home].select(self.label).distinct().collect()
+        return replace(self, classes=tuple(sorted(r[0] for r in rows)))
+
+    def stats(self, frame: pd.DataFrame, suffix: str) -> np.ndarray:
+        counts = frame["cnt" + suffix].tolist()
+        by_class = dict(zip(frame[self.label].tolist(), counts))
+        return np.array([by_class.get(k, 0.0) for k in self.classes], dtype=float)
+
+    def size(self, st: np.ndarray) -> float:
+        return float(st.sum())
+
+    cost = staticmethod(_gini_cost)
+
+    def predict(self, st: np.ndarray):
+        return self.classes[int(np.argmax(st))] if st.sum() > 0 else self.classes[0]
+
+
+CRITERIA = {"regression": Variance, "classification": Gini}
+
+
+def node_queries(
+    node: Node,
+    cont: tuple[str, ...],
+    cats: tuple[str, ...],
+    label: str,
+    thresholds: dict[str, list[float]],
+    kind: str,
+) -> list[Query]:
+    """The aggregate batch for a single tree node (paper (8)-(10)): the
+    criterion's moments for the node totals and per (continuous attr,
+    threshold) delta, and per categorical attr grouped by it as well."""
+    crit = CRITERIA[kind](label)
+
+    def aggs(conds: tuple[Factor, ...]) -> list[SumProduct]:
+        return [SumProduct((Product(node.conds + conds + m),)) for m in crit.moments]
+
+    num, names = aggs(()), list(crit.names)
+    for a in cont:
+        for ti, t in enumerate(thresholds[a]):
+            num += aggs((delta(a, "<=", t),))
+            names += [f"{n}_{a}_{ti}" for n in crit.names]
+    qs = [Query(f"n{node.nid}_num", crit.group_by, tuple(num), tuple(names))]
+    for c in cats:
+        by = (c,) + crit.group_by
+        qs.append(Query(f"n{node.nid}_cat__{c}", by, tuple(aggs(())), crit.names))
+    return qs
+
+
+def best_split(
     node: Node,
     results: dict[str, pd.DataFrame],
     cont: tuple[str, ...],
     cats: tuple[str, ...],
     thresholds: dict[str, list[float]],
-    min_leaf: int = 1,
+    crit: Variance | Gini,
 ):
-    """Minimum-variance split from the node's aggregate results.
+    """The node's statistics and its minimum-cost split ``(cost, attr, op,
+    value, left statistics)``, or None, trying candidates in ``pandas_cart``'s
+    order; both sides of a split must be non-empty.
 
     Right-branch statistics are derived as node totals minus left totals —
     the reason a single one-sided delta per condition suffices.
     """
-    num = results[f"n{node.nid}_num"].iloc[0]
-    tot = (float(num["cnt"]), float(num["s"]), float(num["ss"]))
-    best = None  # (cost, attr, op, value)
-    for a in cont:
-        for ti, t in enumerate(thresholds[a]):
-            left = (
-                float(num[f"cnt_{a}_{ti}"]),
-                float(num[f"s_{a}_{ti}"]),
-                float(num[f"ss_{a}_{ti}"]),
-            )
-            right = tuple(x - y for x, y in zip(tot, left))
-            if left[0] < min_leaf or right[0] < min_leaf:
-                continue
-            cost = _variance(*left) + _variance(*right)
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, a, "<=", t, left)
-    for c in cats:
-        # sort by category so tie-breaking matches the single-machine oracle
-        df = results[f"n{node.nid}_cat__{c}"].sort_values(c)
-        # iterate columns (not iterrows) so int category codes stay ints
-        for v, lc, ls, lss in zip(
-            df[c].tolist(),
-            df["cnt"].astype(float),
-            df["s"].astype(float),
-            df["ss"].astype(float),
-        ):
-            left = (float(lc), float(ls), float(lss))
-            right = tuple(x - y for x, y in zip(tot, left))
-            if left[0] < min_leaf or right[0] < min_leaf:
-                continue
-            cost = _variance(*left) + _variance(*right)
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, c, "==", v, left)
-    return tot, best
-
-
-def best_split_classification(
-    node: Node,
-    results: dict[str, pd.DataFrame],
-    cont: tuple[str, ...],
-    cats: tuple[str, ...],
-    label: str,
-    classes: list,
-    thresholds: dict[str, list[float]],
-    min_leaf: int = 1,
-):
-    """Minimum weighted-Gini split from per-class count aggregates."""
     num = results[f"n{node.nid}_num"]
-    by_class = num.set_index(label)
-    tot = np.array(
-        [float(by_class["cnt"].get(k, 0.0)) for k in classes]
-    )
-    best = None
-    for a in cont:
-        for ti, t in enumerate(thresholds[a]):
-            left = np.array(
-                [float(by_class[f"cnt_{a}_{ti}"].get(k, 0.0)) for k in classes]
-            )
-            right = tot - left
-            if left.sum() < min_leaf or right.sum() < min_leaf:
-                continue
-            cost = _gini_cost(left) + _gini_cost(right)
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, a, "<=", t, left)
+    tot = crit.stats(num, "")
+    candidates = [
+        (a, "<=", t, crit.stats(num, f"_{a}_{ti}"))
+        for a in cont
+        for ti, t in enumerate(thresholds[a])
+    ]
     for c in cats:
-        df = results[f"n{node.nid}_cat__{c}"]
-        for v in sorted(df[c].unique()):
-            sub = df[df[c] == v].set_index(label)["cnt"]
-            left = np.array([float(sub.get(k, 0.0)) for k in classes])
-            right = tot - left
-            if left.sum() < min_leaf or right.sum() < min_leaf:
-                continue
-            cost = _gini_cost(left) + _gini_cost(right)
-            if best is None or cost < best[0] - 1e-12:
-                best = (cost, c, "==", v, left)
+        candidates += [
+            (c, "==", v, crit.stats(rows, ""))
+            for v, rows in results[f"n{node.nid}_cat__{c}"].groupby(c)
+        ]
+    best = None
+    for attr, op, v, left in candidates:
+        right = tot - left
+        if crit.size(left) < 1 or crit.size(right) < 1:
+            continue
+        cost = crit.cost(left) + crit.cost(right)
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, attr, op, v, left)
     return tot, best
 
 
@@ -267,8 +246,7 @@ def compute_thresholds(
         home = db.relations_containing(a)[0]
         probs = [i / (n_buckets + 1) for i in range(1, n_buckets + 1)]
         qs = relations[home].approxQuantile(a, probs, 0.001)
-        uniq = sorted(set(round(float(q), 6) for q in qs))
-        out[a] = uniq
+        out[a] = sorted(set(round(float(q), 6) for q in qs))
     return out
 
 
@@ -289,21 +267,10 @@ def learn_tree(
     """The CART driver: one LMFAO batch per tree level over all open nodes."""
     db = engine.tree.db
     thresholds = thresholds or compute_thresholds(relations, db, cont, n_buckets)
-    classes: list = []
-    if kind == "classification":
-        home = db.relations_containing(label)[0]
-        classes = sorted(
-            r[0] for r in relations[home].select(label).distinct().collect()
-        )
+    crit = CRITERIA[kind](label).bind(relations, db)
 
-    next_id = [0]
-
-    def new_node(conds: tuple[Factor, ...], depth: int) -> Node:
-        n = Node(next_id[0], conds, depth)
-        next_id[0] += 1
-        return n
-
-    root = new_node((), 0)
+    ids = itertools.count()
+    root = Node(next(ids), (), 0)
     tree = DecisionTree(root, kind, label, [root])
     frontier = [root]
     for depth in range(max_depth):
@@ -317,41 +284,19 @@ def learn_tree(
         results = {q.name: run.pandas(q.name) for q in batch}
         new_frontier: list[Node] = []
         for nd in frontier:
-            if kind == "regression":
-                (cnt, s, ss), best = best_split_regression(
-                    nd, results, cont, cats, thresholds
-                )
-                nd.n = cnt
-                nd.prediction = s / cnt if cnt > 0 else 0.0
-            else:
-                tot, best = best_split_classification(
-                    nd, results, cont, cats, label, classes, thresholds
-                )
-                nd.n = float(tot.sum())
-                nd.prediction = (
-                    classes[int(np.argmax(tot))] if tot.sum() > 0 else classes[0]
-                )
+            tot, best = best_split(nd, results, cont, cats, thresholds, crit)
+            nd.n, nd.prediction = crit.size(tot), crit.predict(tot)
             if best is None or nd.n < min_split:
                 continue
-            _, attr, op, val, left_stats = best
+            _, attr, op, val, left = best
             nd.split = (attr, op, val)
             neg_op = {"<=": ">", "==": "!="}[op]
-            nd.left = new_node(nd.conds + (delta(attr, op, val),), depth + 1)
-            nd.right = new_node(nd.conds + (delta(attr, neg_op, val),), depth + 1)
+            nd.left = Node(next(ids), nd.conds + (delta(attr, op, val),), depth + 1)
+            nd.right = Node(next(ids), nd.conds + (delta(attr, neg_op, val),), depth + 1)
             # children get provisional stats from the split aggregates so the
             # deepest level (never re-batched) still predicts correctly
-            if kind == "regression":
-                lc, ls, _ = left_stats
-                nd.left.n, nd.right.n = lc, cnt - lc
-                nd.left.prediction = ls / lc if lc > 0 else nd.prediction
-                nd.right.prediction = (
-                    (s - ls) / (cnt - lc) if cnt - lc > 0 else nd.prediction
-                )
-            else:
-                rstats = tot - left_stats
-                nd.left.n, nd.right.n = float(left_stats.sum()), float(rstats.sum())
-                nd.left.prediction = classes[int(np.argmax(left_stats))]
-                nd.right.prediction = classes[int(np.argmax(rstats))]
+            for child, st in ((nd.left, left), (nd.right, tot - left)):
+                child.n, child.prediction = crit.size(st), crit.predict(st)
             tree.nodes += [nd.left, nd.right]
             if depth < max_depth - 1:
                 new_frontier += [nd.left, nd.right]

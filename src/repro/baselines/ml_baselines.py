@@ -28,10 +28,11 @@ def materialize_join(
     spark: SparkSession,
     relations: dict[str, DataFrame],
     tree: JoinTree,
-    root: str | None = None,
+    root: str,
 ) -> DataFrame:
-    """The full natural join (training-dataset materialization)."""
-    order = tree.bfs_order(root or list(relations)[0])
+    """The full natural join (training-dataset materialization), joined
+    outward from ``root``."""
+    order = tree.bfs_order(root)
     df = relations[order[0]]
     for name in order[1:]:
         keys = sorted(
@@ -71,16 +72,14 @@ def gd_epochs(
     *,
     lambda_: float = 1e-3,
     epochs: int = 1,
-    lr: float | None = None,
 ) -> np.ndarray:
     """Full-batch gradient descent over the materialized matrix. One epoch =
     one full pass over the training data (the unit the paper times for
     TensorFlow)."""
     n, p = X.shape
     theta = np.zeros(p)
-    if lr is None:
-        # stable step from the covariance spectral norm estimate
-        lr = 1.0 / (np.linalg.norm(X, ord="fro") ** 2 / n + lambda_)
+    # stable step from the covariance spectral norm estimate
+    lr = 1.0 / (np.linalg.norm(X, ord="fro") ** 2 / n + lambda_)
     for _ in range(epochs):
         grad = X.T @ (X @ theta - y) / n + lambda_ * theta
         theta -= lr * grad
@@ -111,24 +110,12 @@ def pandas_cart(
     kind: str = "regression",
     max_depth: int = 4,
     min_split: int = 1000,
-    thresholds: dict[str, list[float]] | None = None,
-    n_buckets: int = 20,
+    thresholds: dict[str, list[float]],
 ) -> list[dict]:
     """CART over the flat dataset; returns the nodes as dicts with the same
     split semantics as apps.dtree (used both as the timing baseline and as
-    the correctness oracle for the LMFAO tree)."""
-    if thresholds is None:
-        thresholds = {
-            a: sorted(
-                set(
-                    round(float(q), 6)
-                    for q in pdf[a].quantile(
-                        [i / (n_buckets + 1) for i in range(1, n_buckets + 1)]
-                    )
-                )
-            )
-            for a in cont
-        }
+    the correctness oracle for the LMFAO tree). ``thresholds`` are the
+    candidate splits per continuous attribute, as given to the LMFAO tree."""
     classes = sorted(pdf[label].unique().tolist()) if kind == "classification" else []
     y = pdf[label].to_numpy(dtype=float)
     nodes: list[dict] = []

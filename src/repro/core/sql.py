@@ -13,18 +13,17 @@ from repro.core.join_tree import JoinTree
 from repro.core.query import Query
 
 
-def natural_join_clause(tree: JoinTree, root: str | None = None) -> str:
-    """FROM-clause over all relations in a BFS order from ``root`` so every
-    relation joins the already-connected prefix."""
-    order = tree.bfs_order(root)
-    return " NATURAL JOIN ".join(order)
+def natural_join_clause(tree: JoinTree) -> str:
+    """FROM-clause over all relations in a BFS order so every relation joins
+    the already-connected prefix."""
+    return " NATURAL JOIN ".join(tree.bfs_order())
 
 
-def render_query_sql(tree: JoinTree, query: Query, root: str | None = None) -> str:
+def render_query_sql(tree: JoinTree, query: Query) -> str:
     select = list(query.group_by)
     for agg, name in zip(query.aggregates, query.agg_names):
         select.append(f"SUM({agg.to_sql()}) AS {name}")
-    sql = f"SELECT {', '.join(select)} FROM {natural_join_clause(tree, root)}"
+    sql = f"SELECT {', '.join(select)} FROM {natural_join_clause(tree)}"
     if query.group_by:
         sql += f" GROUP BY {', '.join(query.group_by)}"
     return sql

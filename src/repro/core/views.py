@@ -135,15 +135,17 @@ def decompose_query(
 
     def rec(
         node: str,
-        parent: str,
+        parent: str | None,
         demands: list[tuple[int, tuple[Factor, ...]]],
         expose: tuple[str, ...],
     ) -> tuple[int, dict[int, int]]:
-        """Build the view for edge node->parent.
+        """Build the view for edge node->parent, or the query view at the
+        root when ``parent`` is None.
 
         ``demands``: per atom_key, the factors assigned to this subtree.
         ``expose``: the group-by attributes the parent requires (join keys +
-        surfaced query group-bys + bubbled factor attributes).
+        surfaced query group-bys + bubbled factor attributes), or the query's
+        group-by at the root.
         Returns the view id and atom_key -> atom-index mapping.
         """
         local_by_atom, child_push, bubble = _split_factors(
@@ -168,31 +170,10 @@ def decompose_query(
             )
         return vid, atom_map
 
-    # --- root ------------------------------------------------------------
     demands = [(k, item[1].factors) for k, item in enumerate(atom_items)]
-    local_by_atom, child_push, bubble = _split_factors(tree, root, None, demands)
-    children = sorted(tree.neighbors(root))
-    child_views = {}
-    for c in children:
-        c_expose = _child_expose(
-            tree, root, None, c, tuple(query.group_by), bubble[c]
-        )
-        child_views[c] = rec(
-            c, root, [(k, tuple(child_push[c][k])) for k, _ in demands], c_expose
-        )
-    incoming = tuple(child_views[c][0] for c in children)
-    qview = registry.views[
-        registry.get_view(root, None, tuple(query.group_by), incoming)
-    ]
+    vid, atom_idx_of_key = rec(root, None, demands, tuple(query.group_by))
+    qview = registry.views[vid]
     qview.query_name = query.name
-    atom_idx_of_key: dict[int, int] = {}
-    for k, _ in demands:
-        refs = tuple(
-            sorted((child_views[c][0], child_views[c][1][k]) for c in children)
-        )
-        atom_idx_of_key[k] = registry.add_atom(
-            qview.vid, Atom(Product(tuple(local_by_atom[k])), refs)
-        )
     for ai, name in enumerate(query.agg_names):
         idxs = tuple(
             atom_idx_of_key[k] for k, (a, _) in enumerate(atom_items) if a == ai

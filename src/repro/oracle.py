@@ -12,8 +12,9 @@ decimals. Alias every output column identically on both sides (Spark names
 scalar columns — array/map/struct columns are not orderable so cannot be
 compared here.
 """
-import duckdb
 import pandas as pd
+
+from repro.baselines.duckdb_batch import run_duckdb
 
 
 def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
@@ -36,11 +37,4 @@ def assert_frames_agree(got: pd.DataFrame, expected: pd.DataFrame) -> None:
 
 
 def assert_equivalent(got: pd.DataFrame, sql: str, **tables: pd.DataFrame) -> None:
-    con = duckdb.connect()
-    try:
-        for name, t in tables.items():
-            con.register(name, t)
-        expected = con.execute(sql).fetchdf()
-    finally:
-        con.close()
-    assert_frames_agree(got, expected)
+    assert_frames_agree(got, run_duckdb(tables, [sql])[0])

@@ -7,27 +7,36 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.apps.dtree import compute_thresholds, learn_tree
+from repro.apps.dtree import Node, compute_thresholds, learn_tree, node_queries
 from repro.baselines.ml_baselines import pandas_cart
+from repro.core.expr import delta
 
 
 def _baseline_paths(nodes: list[dict]) -> dict[str, tuple]:
     return {n["path"]: n["split"] for n in nodes}
 
 
-REG_CONFIGS = {
-    "favorita": (("txns", "price"), ("promo", "family"), "units"),
-    "retailer": (("price", "mxtemp"), ("rain", "category"), "inventoryunits"),
-    "yelp": (("u_fans", "b_stars"), ("b_open", "u_elite"), "rstars"),
+CONFIGS = {  # (cont, cats, label, kind)
+    "favorita": (("txns", "price"), ("promo", "family"), "units", "regression"),
+    "retailer": (
+        ("price", "mxtemp"), ("rain", "category"), "inventoryunits", "regression",
+    ),
+    "yelp": (("u_fans", "b_stars"), ("b_open", "u_elite"), "rstars", "regression"),
+    "tpcds": (
+        ("c_birth_year", "ss_quantity"), ("cd_gender", "cd_marital"), "c_preferred",
+        "classification",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(REG_CONFIGS))
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_regression_tree_matches_pandas_cart(spark, data, name):
+    """Split for split against pandas CART, for the regression trees and the
+    (tpcds) classification tree."""
     bundle = data[name]
-    cont, cats, label = REG_CONFIGS[name]
+    cont, cats, label, kind = CONFIGS[name]
     thr = compute_thresholds(bundle.relations, bundle.spec.db, cont, 4)
-    kw = dict(cont=cont, cats=cats, label=label, kind="regression",
+    kw = dict(cont=cont, cats=cats, label=label, kind=kind,
               max_depth=2, min_split=30)
     dt = learn_tree(spark, bundle.relations, bundle.engine, thresholds=thr, **kw)
     bl = pandas_cart(bundle.joined, thresholds=thr, **kw)
@@ -37,24 +46,36 @@ def test_regression_tree_matches_pandas_cart(spark, data, name):
         assert got[path] == exp[path], f"split at {path!r} differs"
 
 
-def test_classification_tree_matches_pandas_cart(spark, data):
-    bundle = data["tpcds"]
-    cont = ("c_birth_year", "ss_quantity")
-    cats = ("cd_gender", "cd_marital")
-    label = "c_preferred"
-    thr = compute_thresholds(bundle.relations, bundle.spec.db, cont, 4)
-    kw = dict(cont=cont, cats=cats, label=label, kind="classification",
-              max_depth=2, min_split=30)
-    dt = learn_tree(spark, bundle.relations, bundle.engine, thresholds=thr, **kw)
-    bl = pandas_cart(bundle.joined, thresholds=thr, **kw)
-    got, exp = dt.splits(), _baseline_paths(bl)
-    assert set(got) == set(exp)
-    for path in exp:
-        assert got[path] == exp[path], f"split at {path!r} differs"
+@pytest.mark.parametrize(
+    "kind, moments",
+    [("regression", ("cnt", "s", "ss")), ("classification", ("cnt",))],
+)
+def test_node_queries_layout(kind, moments):
+    """The node batch (Table 2's RT row and both benchmark workloads): one
+    numeric query and one query per categorical attr, classification adding
+    the label to every group-by, and moments x (1 + thresholds) aggregates."""
+    cont, cats, label = ("txns", "price"), ("promo", "family"), "units"
+    thr = {"txns": [1.0, 2.0], "price": [0.5, 1.5, 2.5]}
+    node = Node(4, (delta("promo", "==", 1), delta("txns", ">", 1.0)), 2)
+    qs = node_queries(node, cont, cats, label, thr, kind)
+    by = (label,) if kind == "classification" else ()
+    assert [(q.name, q.group_by) for q in qs] == [
+        ("n4_num", by),
+        ("n4_cat__promo", ("promo",) + by),
+        ("n4_cat__family", ("family",) + by),
+    ]
+    suffixes = [""] + [f"_{a}_{ti}" for a in cont for ti in range(len(thr[a]))]
+    assert qs[0].agg_names == tuple(m + sfx for sfx in suffixes for m in moments)
+    assert qs[0].n_aggregates == len(moments) * (1 + 5)
+    assert all(q.agg_names == moments for q in qs[1:])
+    for q in qs:
+        for agg in q.aggregates:
+            (prod,) = agg.products
+            assert set(node.conds) <= set(prod.factors)
 
 
 def test_predictions_match_leaf_means(spark, favorita):
-    cont, cats, label = REG_CONFIGS["favorita"]
+    cont, cats, label, _ = CONFIGS["favorita"]
     dt = learn_tree(
         spark, favorita.relations, favorita.engine,
         cont=cont, cats=cats, label=label, kind="regression",
@@ -70,7 +91,7 @@ def test_predictions_match_leaf_means(spark, favorita):
 
 
 def test_tree_respects_max_depth_and_node_budget(spark, favorita):
-    cont, cats, label = REG_CONFIGS["favorita"]
+    cont, cats, label, _ = CONFIGS["favorita"]
     for depth, max_nodes in [(1, 3), (2, 7), (3, 15)]:
         dt = learn_tree(
             spark, favorita.relations, favorita.engine,
@@ -81,7 +102,7 @@ def test_tree_respects_max_depth_and_node_budget(spark, favorita):
 
 
 def test_min_split_prunes(spark, favorita):
-    cont, cats, label = REG_CONFIGS["favorita"]
+    cont, cats, label, _ = CONFIGS["favorita"]
     dt = learn_tree(
         spark, favorita.relations, favorita.engine,
         cont=cont, cats=cats, label=label, kind="regression",

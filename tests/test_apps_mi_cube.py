@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import math
 
-import duckdb
 import pandas as pd
 import pytest
 
 from repro.apps.cube import assemble_cube, cube_queries
 from repro.apps.mi import chow_liu_tree, mi_queries, mutual_information
+from repro.baselines.duckdb_batch import run_duckdb
 from tests.conftest import run_batch
 
 
@@ -93,20 +93,15 @@ def test_cube_matches_duckdb_cube(spark, data, name):
     dims, measures = bundle.spec.cube_dims, bundle.spec.cube_measures
     results, plan = run_batch(spark, bundle, cube_queries(dims, measures))
     cube = assemble_cube(results, dims, measures)
-    con = duckdb.connect()
-    try:
-        con.register("joined", bundle.joined)
-        d0, d1, d2 = dims
-        msql = ", ".join(
-            f"SUM(CAST({m} AS DOUBLE)) AS m{i}" for i, m in enumerate(measures)
-        )
-        exp = con.execute(
-            f"SELECT COALESCE({d0},-1) AS {d0}, COALESCE({d1},-1) AS {d1}, "
-            f"COALESCE({d2},-1) AS {d2}, {msql} "
-            f"FROM joined GROUP BY CUBE({d0},{d1},{d2})"
-        ).fetchdf()
-    finally:
-        con.close()
+    d0, d1, d2 = dims
+    msql = ", ".join(
+        f"SUM(CAST({m} AS DOUBLE)) AS m{i}" for i, m in enumerate(measures)
+    )
+    exp = run_duckdb({"joined": bundle.joined}, [
+        f"SELECT COALESCE({d0},-1) AS {d0}, COALESCE({d1},-1) AS {d1}, "
+        f"COALESCE({d2},-1) AS {d2}, {msql} "
+        f"FROM joined GROUP BY CUBE({d0},{d1},{d2})"
+    ])[0]
     cols = list(cube.columns)
     a = cube.sort_values(cols).reset_index(drop=True)
     b = exp[cols].sort_values(cols).reset_index(drop=True)

@@ -7,7 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.duckdb_batch import run_per_query_duckdb
+from repro.baselines.duckdb_batch import run_duckdb, run_per_query_duckdb
 from repro.baselines.ml_baselines import gd_epochs, materialize_join, one_hot
 from repro.baselines.sql_batch import run_per_query_spark
 from repro.oracle import assert_frames_agree
@@ -42,19 +42,11 @@ def test_materialize_join_matches_duckdb(spark, favorita):
     got = materialize_join(
         spark, favorita.relations, favorita.spec.tree(), "Sales"
     ).count()
-    import duckdb
-
-    con = duckdb.connect()
-    try:
-        for n, pdf in favorita.pandas.items():
-            con.register(n, pdf)
-        exp = con.execute(
-            "SELECT COUNT(*) FROM Sales NATURAL JOIN Transactions "
-            "NATURAL JOIN Items NATURAL JOIN Stores NATURAL JOIN Oil "
-            "NATURAL JOIN Holiday"
-        ).fetchone()[0]
-    finally:
-        con.close()
+    exp = run_duckdb(favorita.pandas, [
+        "SELECT COUNT(*) AS n FROM Sales NATURAL JOIN Transactions "
+        "NATURAL JOIN Items NATURAL JOIN Stores NATURAL JOIN Oil "
+        "NATURAL JOIN Holiday"
+    ])[0]["n"].iloc[0]
     assert got == exp
 
 

@@ -4,12 +4,12 @@ drives the engine, the baselines and the oracle, the numpy form the ML
 baselines, so any divergence would make correctness checks vacuous."""
 from __future__ import annotations
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.baselines.duckdb_batch import run_duckdb
 from repro.core.expr import (
     FN_REGISTRY,
     Factor,
@@ -54,12 +54,7 @@ FACTORS = [
 
 
 def _duck_eval(expr_sql: str) -> np.ndarray:
-    con = duckdb.connect()
-    try:
-        con.register("t", PDF)
-        return con.execute(f"SELECT {expr_sql} AS v FROM t").fetchdf()["v"].to_numpy()
-    finally:
-        con.close()
+    return run_duckdb({"t": PDF}, [f"SELECT {expr_sql} AS v FROM t"])[0]["v"].to_numpy()
 
 
 @pytest.mark.parametrize("factor", FACTORS, ids=lambda f: repr(f))

@@ -3,10 +3,10 @@ Spark SQL and DuckDB — it is both the baseline implementation and the oracle
 input, so cross-dialect agreement is load-bearing."""
 from __future__ import annotations
 
-import duckdb
 import pandas as pd
 import pytest
 
+from repro.baselines.duckdb_batch import run_duckdb
 from repro.core.expr import count, delta, fn, ident, sum_of
 from repro.core.query import Query
 from repro.core.sql import natural_join_clause, render_query_sql
@@ -51,13 +51,7 @@ def test_same_sql_runs_in_both_dialects(spark, favorita, q):
     for rel, df in favorita.relations.items():
         df.createOrReplaceTempView(rel)
     got_spark = spark.sql(sql).toPandas()
-    con = duckdb.connect()
-    try:
-        for rel, pdf in favorita.pandas.items():
-            con.register(rel, pdf)
-        got_duck = con.execute(sql).fetchdf()
-    finally:
-        con.close()
+    got_duck = run_duckdb(favorita.pandas, [sql])[0]
     cols = sorted(got_spark.columns)
     assert cols == sorted(got_duck.columns)
     a = got_spark[cols].sort_values(cols).reset_index(drop=True).astype(float)
