@@ -143,31 +143,3 @@ def assemble_covar(
                 put(index[f"{c1}={k1}"], index[f"{c2}={k2}"], v)
     return CovarMatrix(index, sig, n, cat_values)
 
-
-def design_matrix(
-    pdf: pd.DataFrame, cm: CovarMatrix, cont: tuple[str, ...], cats: tuple[str, ...],
-    label: str,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One-hot design matrix + label vector for a materialized dataset, using
-    the training categories from ``cm`` (unseen categories encode as zeros).
-    Used for test-set RMSE and for the materialize-then-learn baselines."""
-    X = np.zeros((len(pdf), cm.p - 1))
-    j = 0
-    for name in cm.index:
-        if name == label:
-            continue
-        if name == "intercept":
-            X[:, j] = 1.0
-        else:
-            attr, _, val = name.partition("=")
-            if val and attr in cats:
-                # match against the original (typed) training category value
-                v = next(
-                    tv for tv in cm.cat_values[attr] if f"{attr}={tv}" == name
-                )
-                X[:, j] = (pdf[attr].to_numpy() == v).astype(float)
-            else:
-                X[:, j] = pdf[name].to_numpy(dtype=float)
-        j += 1
-    y = pdf[label].to_numpy(dtype=float)
-    return X, y

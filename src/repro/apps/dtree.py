@@ -261,13 +261,10 @@ def learn_tree(
     kind: str = "regression",
     max_depth: int = 4,
     min_split: int = 1000,
-    n_buckets: int = 20,
-    thresholds: dict[str, list[float]] | None = None,
+    thresholds: dict[str, list[float]],
 ) -> DecisionTree:
     """The CART driver: one LMFAO batch per tree level over all open nodes."""
-    db = engine.tree.db
-    thresholds = thresholds or compute_thresholds(relations, db, cont, n_buckets)
-    crit = CRITERIA[kind](label).bind(relations, db)
+    crit = CRITERIA[kind](label).bind(relations, engine.tree.db)
 
     ids = itertools.count()
     root = Node(next(ids), (), 0)

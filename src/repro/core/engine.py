@@ -4,8 +4,8 @@
 views → group views) and returns a :class:`Plan` carrying the Table-2
 statistics (application aggregates A, intermediate aggregates I, views V,
 groups G). ``run`` executes the plan on Spark via the executor and returns
-the query results collected to pandas (``run.pandas(q)``); nothing it cached
-outlives the call.
+the query results collected to pandas (``run.pandas(q)``); every view is
+collected by its own job, so nothing of the run stays in Spark.
 
 Ablation knobs reproduce the paper's Figure-5 study:
 
@@ -98,9 +98,7 @@ class LMFAO:
         *,
         parallel: bool = True,
     ) -> RunResult:
-        return execute(
-            spark, relations, plan.tree, plan.views, plan.grouping, parallel=parallel
-        )
+        return execute(spark, relations, plan, parallel=parallel)
 
 
 def result_size_mb(result: RunResult) -> float:

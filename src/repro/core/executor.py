@@ -9,39 +9,40 @@ Tungsten whole-stage codegen standing in for the generated C++; see DESIGN.md
 "substitutions"). Each aggregate is SQL text, ``SUM(<local.to_sql()> *
 v<k>_a<i> …)``, the same function text the baselines and the oracle run.
 
-Only an internal view read by two or more views is persisted and forced; a
-view with one reader stays lazy inside its reader's plan. Query views are
-collected to pandas directly, never persisted. The run owns its cache: every
-persisted view is released before ``execute`` returns or raises, so nothing
-outlives the run.
+Every view is one Spark job that collects it, the analog of LMFAO computing
+each view once into an in-memory hash map that its parent probes: a query
+view is collected to pandas, an internal view to Arrow and handed back to
+Spark as a local frame that its readers probe through a broadcast join. No
+Spark-side state outlives a view's job, so a run leaves nothing to release,
+also when a job raises.
 
-Parallelization: the jobs of a wave (forcing shared views, collecting query
-views) are submitted from a thread pool — Spark's scheduler runs them
-concurrently; domain parallelism comes from the partitioning of the scanned
-relation.
+Parallelization: the jobs of a wave are submitted from a thread pool —
+Spark's scheduler runs them concurrently; domain parallelism comes from the
+partitioning of the scanned relation.
 """
 from __future__ import annotations
 
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from typing import TYPE_CHECKING
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.group import Grouping
 from repro.core.join_tree import JoinTree
 from repro.core.views import Atom, ViewDef
+
+if TYPE_CHECKING:
+    from repro.core.engine import Plan
 
 
 @dataclass
 class RunResult:
     """Query results of one run, collected to pandas.
 
-    ``run.pandas(q)`` is query ``q``'s result. The run cached nothing that
-    outlives it, so there is nothing to release.
+    ``run.pandas(q)`` is query ``q``'s result. Nothing of the run is left
+    in Spark, so there is nothing to release.
     """
 
     collected: dict[str, pd.DataFrame]
@@ -51,7 +52,7 @@ class RunResult:
 
     def cleanup(self) -> None:
         """No-op, kept for callers written against the release-when-done
-        lifecycle: ``execute`` releases its cached views itself."""
+        lifecycle: ``execute`` leaves nothing in Spark."""
 
 
 def _atom_sql(atom: Atom, views: list[ViewDef]) -> str:
@@ -103,49 +104,35 @@ def _view_df(
 def execute(
     spark: SparkSession,
     relations: dict[str, DataFrame],
-    tree: JoinTree,
-    views: list[ViewDef],
-    grouping: Grouping,
+    plan: Plan,
     *,
-    parallel: bool = True,
+    parallel: bool,
 ) -> RunResult:
-    """Evaluate all views wave by wave; returns the collected query results.
-
-    Every view persisted along the way is released before this returns, also
-    when a build or a job raises: by the end of the last wave every query
-    view is collected, so no cached view is still needed.
-    """
-    readers = Counter(w for v in views for w in v.incoming)
+    """Evaluate all views of ``plan`` wave by wave; returns the collected
+    query results."""
+    views, grouping = plan.views, plan.grouping
     workers = spark.sparkContext.defaultParallelism if parallel else 1
     built: dict[int, DataFrame] = {}
-    cached: list[DataFrame] = []
     collected: dict[str, pd.DataFrame] = {}
 
-    def collect(name: str, df: DataFrame) -> None:
-        collected[name] = df.toPandas()
+    def collect(view: ViewDef, df: DataFrame) -> None:
+        if view.is_query:
+            collected[view.query_name] = df.toPandas()
+        else:
+            # Arrow, not pandas: pandas would turn a bigint key column with
+            # NULLs into float64, which loses integers above 2**53.
+            built[view.vid] = spark.createDataFrame(df.toArrow(), schema=df.schema)
 
-    try:
-        for wave in grouping.waves:
-            # Plan construction is py4j-heavy and not worth contending over:
-            # build every view plan of the wave serially, then run the
-            # wave's independent Spark jobs concurrently.
-            jobs = []
-            for gi in wave:
-                for vid in grouping.groups[gi]:
-                    v = views[vid]
-                    df = _view_df(v, views, tree, relations, built)
-                    if v.is_query:
-                        jobs.append(partial(collect, v.query_name, df))
-                    elif readers[vid] > 1:
-                        # forced now, so parallel readers do not race to fill it
-                        df = df.persist()
-                        cached.append(df)
-                        jobs.append(df.count)
-                    built[vid] = df
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for fut in [pool.submit(job) for job in jobs]:
-                    fut.result()
-    finally:
-        for df in cached:
-            df.unpersist()
+    for wave in grouping.waves:
+        # Plan construction is py4j-heavy and not worth contending over:
+        # build every view plan of the wave serially, then run the wave's
+        # independent Spark jobs concurrently.
+        jobs = [
+            (views[vid], _view_df(views[vid], views, plan.tree, relations, built))
+            for gi in wave
+            for vid in grouping.groups[gi]
+        ]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for fut in [pool.submit(collect, v, df) for v, df in jobs]:
+                fut.result()
     return RunResult(collected)

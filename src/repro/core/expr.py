@@ -18,6 +18,13 @@ evaluate the same ``to_sql()`` text; the numpy ML baselines use
 ``to_numpy()``. Numeric literals are written in exponent form (``1e0``):
 Spark SQL and DuckDB both read that as DOUBLE, while ``1.0`` is a DECIMAL in
 Spark SQL and would turn every delta sum into decimal arithmetic.
+
+NULLs: a product is 0 on a row where any attribute it reads is NULL (a delta
+on NULL is already 0). So every product is total, and ``SUM(p1 + p2)`` equals
+``SUM(p1) + SUM(p2)`` over any rows — the distributivity the engine's
+aggregate pushdown relies on. Plain SQL would drop the whole row from
+``SUM(p1 + p2)`` when one product is NULL, which no factorized plan can
+reproduce.
 """
 from __future__ import annotations
 
@@ -189,13 +196,13 @@ class Product:
     def to_sql(self) -> str:
         if not self.factors:
             return "1e0"
-        return " * ".join(f_.to_sql() for f_ in self.factors)
+        return f"COALESCE({' * '.join(f_.to_sql() for f_ in self.factors)}, 0e0)"
 
     def to_numpy(self, pdf: pd.DataFrame) -> np.ndarray:
         out = np.ones(len(pdf))
         for f_ in self.factors:
             out = out * f_.to_numpy(pdf)
-        return out
+        return np.where(np.isnan(out), 0.0, out)
 
     def __repr__(self) -> str:
         return "*".join(map(repr, self.factors)) or "1"

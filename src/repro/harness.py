@@ -16,7 +16,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from repro.apps.covar import assemble_covar, covar_queries, design_matrix
+from repro.apps.covar import assemble_covar, covar_queries
 from repro.apps.dtree import compute_thresholds, learn_tree
 from repro.apps.linreg import learn_bgd
 from repro.baselines.duckdb_batch import run_per_query_duckdb
@@ -37,7 +37,7 @@ from repro.datasets.common import DatasetSpec
 from repro.workloads import WORKLOADS, build_workload
 
 BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
-BENCH_SEED = int(os.environ.get("REPRO_BENCH_SEED", "0"))
+BENCH_SEED = 0
 
 
 def _driver_mem() -> str:
@@ -239,7 +239,7 @@ def table2_rows(
 #: Cap on the number of single-aggregate Spark queries actually executed per
 #: cell; the full-batch time is extrapolated from the measured per-query rate
 #: and reported in a clearly-labelled column (no silent truncation).
-SPARK_1AGG_CAP = int(os.environ.get("REPRO_SPARK_1AGG_CAP", "40"))
+SPARK_1AGG_CAP = 40
 
 
 def _single_aggregate_queries(queries):
@@ -261,13 +261,6 @@ def table3_rows(
     sf: float = BENCH_SF,
     datasets: list[str] | None = None,
     workloads: tuple[str, ...] = WORKLOADS,
-    systems: tuple[str, ...] = (
-        "lmfao",
-        "spark_pq",
-        "duckdb_pq",
-        "spark_1agg",
-        "duckdb_1agg",
-    ),
 ) -> list[dict]:
     rows = []
     for name in datasets or sorted(all_datasets()):
@@ -278,43 +271,34 @@ def table3_rows(
             for wl in workloads:
                 queries = build_workload(spec, wl, relations)
                 row: dict = {"dataset": name, "batch": wl.upper(), "queries": len(queries)}
-                if "lmfao" in systems:
-                    with timer() as t:
-                        plan = engine.compile(queries)
-                        engine.run(spark, relations, plan)
-                    row["lmfao_s"] = t["s"]
-                if "spark_pq" in systems:
-                    with timer() as t:
-                        run_per_query_spark(spark, relations, spec.tree(), queries)
-                    row["spark_pq_s"] = t["s"]
-                if "duckdb_pq" in systems:
-                    with timer() as t:
-                        run_per_query_duckdb(pdfs, spec.tree(), queries)
-                    row["duckdb_pq_s"] = t["s"]
+                with timer() as t:
+                    plan = engine.compile(queries)
+                    engine.run(spark, relations, plan)
+                row["lmfao_s"] = t["s"]
+                with timer() as t:
+                    run_per_query_spark(spark, relations, spec.tree(), queries)
+                row["spark_pq_s"] = t["s"]
+                with timer() as t:
+                    run_per_query_duckdb(pdfs, spec.tree(), queries)
+                row["duckdb_pq_s"] = t["s"]
                 singles = _single_aggregate_queries(queries)
                 row["aggregates"] = len(singles)
-                if "spark_1agg" in systems:
-                    subset = singles[:SPARK_1AGG_CAP]
-                    with timer() as t:
-                        run_per_query_spark(spark, relations, spec.tree(), subset)
-                    # measured subset, extrapolated to the full batch (labelled)
-                    row["spark_1agg_est_s"] = t["s"] / len(subset) * len(singles)
-                    if len(subset) < len(singles):
-                        print(
-                            f"[table3] {name}/{wl}: spark_1agg measured on "
-                            f"{len(subset)}/{len(singles)} single-aggregate "
-                            "queries; column is the extrapolated full-batch time"
-                        )
-                if "duckdb_1agg" in systems:
-                    with timer() as t:
-                        run_per_query_duckdb(pdfs, spec.tree(), singles)
-                    row["duckdb_1agg_s"] = t["s"]
-                if "lmfao_s" in row and "spark_pq_s" in row:
-                    row["speedup_vs_spark"] = row["spark_pq_s"] / row["lmfao_s"]
-                if "lmfao_s" in row and "spark_1agg_est_s" in row:
-                    row["speedup_vs_spark_1agg"] = (
-                        row["spark_1agg_est_s"] / row["lmfao_s"]
+                subset = singles[:SPARK_1AGG_CAP]
+                with timer() as t:
+                    run_per_query_spark(spark, relations, spec.tree(), subset)
+                # measured subset, extrapolated to the full batch (labelled)
+                row["spark_1agg_est_s"] = t["s"] / len(subset) * len(singles)
+                if len(subset) < len(singles):
+                    print(
+                        f"[table3] {name}/{wl}: spark_1agg measured on "
+                        f"{len(subset)}/{len(singles)} single-aggregate "
+                        "queries; column is the extrapolated full-batch time"
                     )
+                with timer() as t:
+                    run_per_query_duckdb(pdfs, spec.tree(), singles)
+                row["duckdb_1agg_s"] = t["s"]
+                row["speedup_vs_spark"] = row["spark_pq_s"] / row["lmfao_s"]
+                row["speedup_vs_spark_1agg"] = row["spark_1agg_est_s"] / row["lmfao_s"]
                 rows.append(row)
     return rows
 
@@ -375,7 +359,8 @@ def linreg_rows(spark: SparkSession, name: str, sf: float = BENCH_SF) -> list[di
             results = {q.name: run.pandas(q.name) for q in queries}
             cm = assemble_covar(results, cont, cats, label)
             model = learn_bgd(cm, label)
-        Xt, yt = design_matrix(test_joined, cm, cont, cats, label)
+        # one test design matrix, on the training categories, for every row
+        Xt, yt, _ = one_hot(test_joined, cont, cats, label, cm.cat_values)
         rows.append({"dataset": name, "system": "LMFAO (covar + BGD)", "time_s": t_lmfao["s"], "rmse_test": model.rmse(Xt, yt)})
 
         # AC/DC proxy: LMFAO without sharing layers, same convergence
@@ -411,14 +396,13 @@ def linreg_rows(spark: SparkSession, name: str, sf: float = BENCH_SF) -> list[di
         with timer() as t_tf:
             X, y, _ = one_hot(train_pdf, cont, cats, label, cm.cat_values)
             theta_tf = gd_epochs(X, y, epochs=1)
-        Xb, yb, _ = one_hot(test_joined, cont, cats, label, cm.cat_values)
-        rows.append({"dataset": name, "system": "TensorFlow proxy (1 epoch GD, materialized)", "time_s": t_tf["s"], "rmse_test": rmse(Xb, yb, theta_tf)})
+        rows.append({"dataset": name, "system": "TensorFlow proxy (1 epoch GD, materialized)", "time_s": t_tf["s"], "rmse_test": rmse(Xt, yt, theta_tf)})
 
         # MADlib proxy: closed-form OLS/ridge over the materialized join
         with timer() as t_ml:
             X, y, _ = one_hot(train_pdf, cont, cats, label, cm.cat_values)
             theta_ml = closed_form_materialized(X, y)
-        rows.append({"dataset": name, "system": "MADlib proxy (closed form, materialized)", "time_s": t_ml["s"], "rmse_test": rmse(Xb, yb, theta_ml)})
+        rows.append({"dataset": name, "system": "MADlib proxy (closed form, materialized)", "time_s": t_ml["s"], "rmse_test": rmse(Xt, yt, theta_ml)})
     return rows
 
 

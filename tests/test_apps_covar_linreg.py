@@ -10,7 +10,6 @@ import pytest
 from repro.apps.covar import (
     assemble_covar,
     covar_queries,
-    design_matrix,
     n_covar_aggregates,
 )
 from repro.apps.linreg import learn_bgd, learn_closed_form
@@ -97,15 +96,6 @@ def test_bgd_reaches_closed_form_accuracy(name, covar_results):
     m_cf = learn_closed_form(cm, label, lambda_=1e-3)
     r_bgd, r_cf = m_bgd.rmse(X, y), m_cf.rmse(X, y)
     assert abs(r_bgd - r_cf) / max(r_cf, 1e-9) < 1e-3
-
-
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_design_matrix_matches_one_hot(name, covar_results):
-    bundle, cont, cats, label, cm = covar_results[name]
-    Xa, ya = design_matrix(bundle.joined, cm, cont, cats, label)
-    Xb, yb, _ = one_hot(bundle.joined, cont, cats, label, cm.cat_values)
-    np.testing.assert_allclose(Xa, Xb)
-    np.testing.assert_allclose(ya, yb)
 
 
 def test_one_epoch_gd_worse_than_converged(covar_results):

@@ -79,7 +79,8 @@ def test_predictions_match_leaf_means(spark, favorita):
     dt = learn_tree(
         spark, favorita.relations, favorita.engine,
         cont=cont, cats=cats, label=label, kind="regression",
-        max_depth=2, min_split=30, n_buckets=4,
+        max_depth=2, min_split=30,
+        thresholds=compute_thresholds(favorita.relations, favorita.spec.db, cont, 4),
     )
     pdf = favorita.joined
     pred = dt.predict(pdf)
@@ -92,11 +93,12 @@ def test_predictions_match_leaf_means(spark, favorita):
 
 def test_tree_respects_max_depth_and_node_budget(spark, favorita):
     cont, cats, label, _ = CONFIGS["favorita"]
+    thr = compute_thresholds(favorita.relations, favorita.spec.db, cont, 3)
     for depth, max_nodes in [(1, 3), (2, 7), (3, 15)]:
         dt = learn_tree(
             spark, favorita.relations, favorita.engine,
             cont=cont, cats=cats, label=label, kind="regression",
-            max_depth=depth, min_split=10, n_buckets=3,
+            max_depth=depth, min_split=10, thresholds=thr,
         )
         assert dt.n_nodes() <= max_nodes
 
@@ -106,7 +108,8 @@ def test_min_split_prunes(spark, favorita):
     dt = learn_tree(
         spark, favorita.relations, favorita.engine,
         cont=cont, cats=cats, label=label, kind="regression",
-        max_depth=3, min_split=10**9, n_buckets=3,
+        max_depth=3, min_split=10**9,
+        thresholds=compute_thresholds(favorita.relations, favorita.spec.db, cont, 3),
     )
     assert dt.n_nodes() == 1  # nothing is splittable
 

@@ -1,6 +1,6 @@
-"""Executor-internals tests: column pruning, which views are persisted,
-nothing left cached after a run or a failed run, Example 3.3 numeric
-correctness on a chain database."""
+"""Executor-internals tests: column pruning, no view persisted, nothing left
+cached after a run or a failed run, Example 3.3 numeric correctness on a
+chain database."""
 from __future__ import annotations
 
 from collections import Counter
@@ -128,12 +128,11 @@ def _shared_views(plan):
     return [v for v in plan.views if readers[v.vid] >= 2]
 
 
-def test_only_shared_internal_views_are_cached(spark, favorita, monkeypatch):
-    """Views with one reader stay lazy in their reader's plan and query
-    views are collected, not persisted: only shared views are cached."""
+def test_run_persists_nothing(spark, favorita, monkeypatch):
+    """Every view is collected by its own job and internal views come back
+    as local frames: ``run`` never persists a DataFrame."""
     plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
-    shared = _shared_views(plan)
-    assert shared and all(not v.is_query for v in shared)
+    assert _shared_views(plan)
     persisted = []
     persist = DataFrame.persist
 
@@ -143,9 +142,7 @@ def test_only_shared_internal_views_are_cached(spark, favorita, monkeypatch):
 
     monkeypatch.setattr(DataFrame, "persist", spy)
     favorita.engine.run(spark, favorita.relations, plan)
-    assert sorted(persisted) == sorted(
-        (*v.group_by, *(v.col(i) for i in range(len(v.atoms)))) for v in shared
-    )
+    assert persisted == []
 
 
 @pytest.mark.parametrize("failure", ["missing_attribute", "job_error"])

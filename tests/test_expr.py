@@ -29,6 +29,7 @@ PDF = pd.DataFrame(
         "x": [1, 2, 3, 4, 5, -2, 0, 7],
         "y": [2.5, -1.0, 0.0, 3.25, 4.0, 1.5, -0.5, 2.0],
         "z": [0, 1, 1, 0, 2, 2, 1, 0],
+        "n": [1.5, None, 3.0, None, -1.0, 2.0, None, 0.5],
     }
 )
 
@@ -81,8 +82,9 @@ def test_spark_matches_numpy(spark, factor):
         (power("x", 2), delta("z", "==", 1)),
         (const(3.0), fn("log1p", "x"), delta("x", ">", 2)),
         (),
+        (ident("n"), ident("y")),
     ],
-    ids=["xy", "x2d", "cfd", "empty"],
+    ids=["xy", "x2d", "cfd", "empty", "null_is_zero"],
 )
 def test_product_consistency(factors):
     p = Product(factors)
