@@ -18,7 +18,8 @@ also when a job raises.
 
 Parallelization: the jobs of a wave are submitted from a thread pool —
 Spark's scheduler runs them concurrently; domain parallelism comes from the
-partitioning of the scanned relation.
+partitioning of the scanned relation, which ``DatasetSpec.generate`` sets
+by its bytes.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """Shared dataset plumbing: the spec object and generator helpers."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -14,6 +15,19 @@ from repro.core.schema import Database
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def split_partitions(
+    nbytes: int, *, max_partition_bytes: int, open_cost: int, parallelism: int
+) -> int:
+    """Partitions for a relation of ``nbytes``, by Spark's file-scan split
+    rule (``FilePartition.maxSplitBytes``): a split is ``(nbytes + open_cost)
+    / parallelism``, clamped to ``[open_cost, max_partition_bytes]``. Never
+    more than ``parallelism``, the count ``createDataFrame`` gives."""
+    split = min(
+        max_partition_bytes, max(open_cost, (nbytes + open_cost) / parallelism)
+    )
+    return min(parallelism, max(1, math.ceil(nbytes / split)))
 
 
 def dim_size(base: int, sf: float, floor: int = 8) -> int:
@@ -57,8 +71,24 @@ class DatasetSpec:
     def generate(
         self, spark: SparkSession, *, sf: float = 0.01, seed: int = 0
     ) -> dict[str, DataFrame]:
+        """One DataFrame per relation, partitioned by its bytes.
+
+        Each relation gets ``split_partitions`` of its pandas bytes
+        (``memory_usage(deep=True)``) under the session's
+        ``spark.sql.files.maxPartitionBytes``, ``spark.sql.files.openCostInBytes``
+        and ``defaultParallelism``, as if Spark had scanned it from a file: a
+        relation under the open cost (4 MiB by default) is one partition, so a
+        view over it aggregates in one task with no shuffle, and only a large
+        relation is split across cores.
+        """
         pdfs = self.generate_pandas(sf, seed)
         assert set(pdfs) == set(self.db.relations), "generator/catalog mismatch"
+        conf = spark._jsparkSession.sessionState().conf()
+        split = dict(
+            max_partition_bytes=conf.filesMaxPartitionBytes(),
+            open_cost=conf.filesOpenCostInBytes(),
+            parallelism=spark.sparkContext.defaultParallelism,
+        )
         out: dict[str, DataFrame] = {}
         for name, pdf in pdfs.items():
             expected = list(self.db.relations[name].schema)
@@ -66,7 +96,10 @@ class DatasetSpec:
                 f"{self.name}.{name}: generator columns {list(pdf.columns)} "
                 f"!= catalog {expected}"
             )
-            out[name] = spark.createDataFrame(pdf)
+            nbytes = int(pdf.memory_usage(deep=True, index=False).sum())
+            out[name] = spark.createDataFrame(pdf).coalesce(
+                split_partitions(nbytes, **split)
+            )
         return out
 
     def continuous_features(self) -> tuple[str, ...]:

@@ -7,6 +7,7 @@ import pandas as pd
 import pytest
 
 from repro.datasets import all_datasets
+from repro.datasets.common import split_partitions
 
 DATASETS = sorted(all_datasets())
 
@@ -44,6 +45,40 @@ def test_fact_scales_with_sf(name):
     small = spec.generate_pandas(0.002, 0)[spec.fact]
     big = spec.generate_pandas(0.01, 0)[spec.fact]
     assert len(big) > 3 * len(small)
+
+
+MIB = 2**20
+
+
+@pytest.mark.parametrize(
+    "mib,parallelism,parts",
+    [
+        (1.0, 4, 1),  # under the open cost: one task, no shuffle
+        (11.4, 4, 3),  # favorita Sales / yelp Review at SF 0.5
+        (27.5, 4, 4),  # tpcds store_sales at SF 0.5
+        (27.5, 2, 2),
+        (10 * 1024, 4, 4),  # past maxPartitionBytes: capped at parallelism
+        (0.0, 4, 1),
+    ],
+)
+def test_split_partitions(mib, parallelism, parts):
+    """Spark's file-scan split rule at its default maxPartitionBytes
+    (128 MiB) and openCostInBytes (4 MiB)."""
+    got = split_partitions(
+        int(mib * MIB),
+        max_partition_bytes=128 * MIB,
+        open_cost=4 * MIB,
+        parallelism=parallelism,
+    )
+    assert got == parts
+
+
+@pytest.mark.parametrize("name", DATASETS)
+def test_test_sf_relations_are_one_partition(name, data):
+    """Every relation at the test SF is far under the open cost, so it is
+    one partition and a view over it runs as one task."""
+    for rel, df in data[name].relations.items():
+        assert df.rdd.getNumPartitions() == 1, rel
 
 
 @pytest.mark.parametrize("name", DATASETS)

@@ -20,7 +20,8 @@ from repro.core.expr import (
 )
 from repro.core.query import Query
 from repro.core.sql import render_query_sql
-from repro.oracle import assert_equivalent
+from repro.oracle import assert_equivalent, assert_frames_agree
+from repro.workloads import build_workload
 
 # per-dataset query shapes: (query-name, group_by, aggregates)
 CASES = {
@@ -143,6 +144,25 @@ def test_ablation_configs_agree(spark, favorita, multi_root, merge, parallel):
             render_query_sql(favorita.spec.tree(), q),
             **favorita.pandas,
         )
+
+
+@pytest.mark.parametrize("wl", ["rt", "cm"])
+def test_multi_partition_relations_agree(spark, retailer, wl):
+    """At the test SF every relation is one partition, so no view shuffles.
+    Over the same relations in 4 partitions each view aggregates partially
+    per partition and finally across a shuffle; the batch must match both
+    the oracle and the single-partition run."""
+    tree = retailer.spec.tree()
+    split = {n: df.repartition(4) for n, df in retailer.relations.items()}
+    assert all(df.rdd.getNumPartitions() == 4 for df in split.values())
+    queries = build_workload(retailer.spec, wl, retailer.relations, n_buckets=3)
+    plan = retailer.engine.compile(queries)
+    single = retailer.engine.run(spark, retailer.relations, plan)
+    multi = retailer.engine.run(spark, split, plan)
+    for q in queries:
+        got = multi.pandas(q.name)
+        assert_equivalent(got, render_query_sql(tree, q), **retailer.pandas)
+        assert_frames_agree(got, single.pandas(q.name))
 
 
 def test_explicit_roots_override(spark, favorita):
