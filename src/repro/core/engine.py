@@ -11,7 +11,7 @@ Ablation knobs reproduce the paper's Figure-5 study:
 
 - ``multi_root=False``   every query rooted at the single heaviest relation
 - ``merge_views=False``  no view interning / aggregate dedup (AC/DC proxy)
-- ``run(parallel=False)`` groups execute sequentially
+- ``run(parallel=False)`` views run one at a time, in plan order
 """
 from __future__ import annotations
 

@@ -16,14 +16,17 @@ Spark as a local frame that its readers probe through a broadcast join. No
 Spark-side state outlives a view's job, so a run leaves nothing to release,
 also when a job raises.
 
-Parallelization: the jobs of a wave are submitted from a thread pool —
-Spark's scheduler runs them concurrently; domain parallelism comes from the
-partitioning of the scanned relation, which ``DatasetSpec.generate`` sets
-by its bytes.
+Parallelization (§3.6): task parallelism follows the view dependencies. One
+thread pool of ``defaultParallelism`` workers (one with ``parallel=False``)
+takes the views in plan order; a worker waits until the view's incoming views
+are collected, then builds its plan and runs its job, so Spark's scheduler
+runs the jobs of independent views concurrently, and no view waits on a view
+it does not read. Domain parallelism comes from the partitioning of the
+scanned relation, which ``DatasetSpec.generate`` sets by its bytes.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -109,14 +112,19 @@ def execute(
     *,
     parallel: bool,
 ) -> RunResult:
-    """Evaluate all views of ``plan`` wave by wave; returns the collected
-    query results."""
-    views, grouping = plan.views, plan.grouping
+    """Evaluate every view of ``plan`` as soon as its incoming views are
+    collected; returns the collected query results. The first failed view
+    cancels the views not yet started and is re-raised."""
+    views = plan.views
     workers = spark.sparkContext.defaultParallelism if parallel else 1
+    futures: dict[int, Future] = {}
     built: dict[int, DataFrame] = {}
     collected: dict[str, pd.DataFrame] = {}
 
-    def collect(view: ViewDef, df: DataFrame) -> None:
+    def run_view(view: ViewDef) -> None:
+        for vid in view.incoming:
+            futures[vid].result()  # re-raises an incoming view's failure
+        df = _view_df(view, views, plan.tree, relations, built)
         if view.is_query:
             collected[view.query_name] = df.toPandas()
         else:
@@ -124,16 +132,14 @@ def execute(
             # NULLs into float64, which loses integers above 2**53.
             built[view.vid] = spark.createDataFrame(df.toArrow(), schema=df.schema)
 
-    for wave in grouping.waves:
-        # Plan construction is py4j-heavy and not worth contending over:
-        # build every view plan of the wave serially, then run the wave's
-        # independent Spark jobs concurrently.
-        jobs = [
-            (views[vid], _view_df(views[vid], views, plan.tree, relations, built))
-            for gi in wave
-            for vid in grouping.groups[gi]
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for fut in [pool.submit(collect, v, df) for v, df in jobs]:
-                fut.result()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        # No deadlock: the queue is FIFO and every view waits only on views
+        # submitted before it (incoming < vid), which have already started.
+        for view in views:
+            futures[view.vid] = pool.submit(run_view, view)
+        for fut in as_completed(futures.values()):
+            fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
     return RunResult(collected)

@@ -6,8 +6,9 @@ be evaluated together once their incoming views exist. We assign each view a
 group level: ``level(v) = 1 + max(level(dep))`` where the max ranges over the
 groups of its incoming views. A group is then ``(source node, level)``; the
 group dependency graph only points from lower to higher levels, so it is
-acyclic by construction, and its topological *waves* (one per level) drive
-the Parallelization layer: groups within a wave run concurrently.
+acyclic by construction, and its topological *waves* (one per level) are a
+plan statistic. The Parallelization layer does not run wave by wave: it
+starts each view as soon as its own incoming views are collected.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from repro.core.views import ViewDef
 
 @dataclass
 class Grouping:
-    """Groups of view ids plus the wave schedule.
+    """Groups of view ids plus their waves.
 
     ``groups[i]`` lists view ids (all sharing a source node and level);
     ``waves[l]`` lists the indices of groups at level ``l``;
@@ -35,7 +36,7 @@ class Grouping:
 
 
 def group_views(views: list[ViewDef]) -> Grouping:
-    """Cluster views into groups and schedule waves.
+    """Cluster views into groups and cut the group DAG into waves.
 
     ``views`` must be in dependency (construction) order: every view's
     incoming ids are smaller than its own id — true for ViewRegistry output.

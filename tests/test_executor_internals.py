@@ -1,8 +1,9 @@
 """Executor-internals tests: column pruning, no view persisted, nothing left
-cached after a run or a failed run, Example 3.3 numeric correctness on a
-chain database."""
+cached after a run or a failed run, dependency-driven scheduling and fail-fast,
+Example 3.3 numeric correctness on a chain database."""
 from __future__ import annotations
 
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from pyspark.sql import functions as F
 from pyspark.sql.classic.dataframe import DataFrame
 
+from repro.core import executor
 from repro.core.engine import LMFAO, result_size_mb
 from repro.core.executor import _used_source_columns
 from repro.core.expr import count, ident, sum_of
@@ -101,8 +103,8 @@ def test_example_3_3_pair_counts(spark, chain):
 
 
 def test_run_result_lifecycle(spark, favorita):
-    """A run that persists shared views releases them before it returns:
-    the persistent-RDD count after ``run`` equals the count before it."""
+    """A run over a plan with shared views leaves the persistent-RDD count
+    as it found it and collects every query's result."""
     queries = build_workload(favorita.spec, "cm")
     plan = favorita.engine.compile(queries)
     assert _shared_views(plan)
@@ -147,10 +149,11 @@ def test_run_persists_nothing(spark, favorita, monkeypatch):
 
 @pytest.mark.parametrize("failure", ["missing_attribute", "job_error"])
 def test_failed_run_releases_cached_views(spark, favorita, failure):
-    """A batch that fails after earlier waves persisted shared views leaves
-    no persisted RDD behind."""
+    """A run that fails in a view above some shared views, by a missing
+    column or by a job that raises, leaves the persistent-RDD count as it
+    found it."""
     plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
-    # views grouped by family run in the last wave, after shared views exist
+    # the first view grouped by family sits at a higher level than a shared view
     first_family_wave = min(
         plan.grouping.level_of[v.vid] for v in plan.views if "family" in v.group_by
     )
@@ -169,6 +172,121 @@ def test_failed_run_releases_cached_views(spark, favorita, failure):
     before = jsc.getPersistentRDDs().size()
     with pytest.raises(Exception):
         favorita.engine.run(spark, relations, plan)
+    assert jsc.getPersistentRDDs().size() == before
+
+
+def _upstream(plan):
+    """Each view's transitive incoming views."""
+    up: dict[int, set[int]] = {}
+    for v in plan.views:
+        up[v.vid] = set(v.incoming).union(*(up[w] for w in v.incoming))
+    return up
+
+
+def _record_schedule(monkeypatch, slow=None):
+    """Record ``("build", vid)`` when a view's plan build starts and
+    ``("collected", vid)`` when its collect returns; view ``slow``'s build
+    first sleeps 1.5 s."""
+    events, frames = [], {}
+    view_df = executor._view_df
+
+    def build(view, *args):
+        events.append(("build", view.vid))
+        if view.vid == slow:
+            time.sleep(1.5)
+        df = view_df(view, *args)
+        frames[id(df)] = (view.vid, df)
+        return df
+
+    def collecting(method):
+        def spy(df, *args, **kwargs):
+            out = method(df, *args, **kwargs)
+            if id(df) in frames:
+                events.append(("collected", frames[id(df)][0]))
+            return out
+
+        return spy
+
+    monkeypatch.setattr(executor, "_view_df", build)
+    monkeypatch.setattr(DataFrame, "toArrow", collecting(DataFrame.toArrow))
+    monkeypatch.setattr(DataFrame, "toPandas", collecting(DataFrame.toPandas))
+    return events
+
+
+def test_view_built_after_its_incoming_views_are_collected(
+    spark, favorita, monkeypatch
+):
+    """Every view's plan is built only after the collect of each of its
+    incoming views has returned, and every view is built and collected once."""
+    plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
+    events = _record_schedule(monkeypatch)
+    favorita.engine.run(spark, favorita.relations, plan, parallel=True)
+    pos = {e: i for i, e in enumerate(events)}
+    assert len(pos) == len(events) == 2 * len(plan.views)
+    for v in plan.views:
+        for w in v.incoming:
+            assert pos[("collected", w)] < pos[("build", v.vid)], (w, v.vid)
+
+
+def test_view_does_not_wait_on_views_it_does_not_read(spark, favorita, monkeypatch):
+    """A higher-level view that does not read a slow level-0 view starts
+    before that view is collected: no barrier between levels."""
+    plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
+    up = _upstream(plan)
+    workers = spark.sparkContext.defaultParallelism
+
+    def blocked_before(slow, target):
+        """Views submitted before ``target`` that wait on ``slow``, which
+        hold a worker until ``slow`` is collected."""
+        return sum(1 for v in plan.views if v.vid < target.vid and slow.vid in up[v.vid])
+
+    pairs = [
+        (slow, target)
+        for slow in plan.views
+        if not slow.incoming
+        for target in plan.views
+        if target.incoming and slow.vid not in up[target.vid]
+    ]
+    slow, target = min(pairs, key=lambda p: blocked_before(*p))
+    if blocked_before(slow, target) > workers - 2:
+        pytest.skip(f"{workers} workers cannot run a view beside the slow one")
+    events = _record_schedule(monkeypatch, slow=slow.vid)
+    favorita.engine.run(spark, favorita.relations, plan, parallel=True)
+    assert events.index(("build", target.vid)) < events.index(("collected", slow.vid))
+
+
+@pytest.mark.parametrize("parallel", [True, False])
+def test_failed_view_stops_its_readers(spark, favorita, monkeypatch, parallel):
+    """The first failed view is re-raised; none of its transitive readers
+    builds a plan, and no persisted RDD is left behind."""
+    plan = favorita.engine.compile(build_workload(favorita.spec, "cm"))
+    up = _upstream(plan)
+    readers = {
+        v.vid: {r for r, ins in up.items() if v.vid in ins} for v in plan.views
+    }
+    failing = max(
+        (v for v in plan.views if not v.is_query), key=lambda v: len(readers[v.vid])
+    )
+    assert readers[failing.vid]
+    built = []
+    view_df = executor._view_df
+
+    def build(view, *args):
+        built.append(view.vid)
+        df = view_df(view, *args)
+        if view.vid == failing.vid:
+            df = df.withColumn(
+                df.columns[-1], F.expr("CAST(raise_error('injected failure') AS DOUBLE)")
+            )
+        return df
+
+    monkeypatch.setattr(executor, "_view_df", build)
+    jsc = spark.sparkContext._jsc.sc()
+    before = jsc.getPersistentRDDs().size()
+    with pytest.raises(Exception, match="injected failure"):
+        favorita.engine.run(spark, favorita.relations, plan, parallel=parallel)
+    assert failing.vid in built
+    assert not readers[failing.vid] & set(built)
     assert jsc.getPersistentRDDs().size() == before
 
 
