@@ -14,10 +14,11 @@ applications are:
 Every factor renders two ways: ``to_sql()`` (portable SQL that runs in both
 Spark SQL and DuckDB) and ``to_numpy()`` (vectorized callable over a pandas
 DataFrame). The engine, the per-query SQL baselines and the DuckDB oracle all
-evaluate the same ``to_sql()`` text; the numpy ML baselines use
-``to_numpy()``. Numeric literals are written in exponent form (``1e0``):
-Spark SQL and DuckDB both read that as DOUBLE, while ``1.0`` is a DECIMAL in
-Spark SQL and would turn every delta sum into decimal arithmetic.
+evaluate the same ``to_sql()`` text; ``to_numpy()`` is the tests' reference
+renderer and evaluates decision-tree predicates in tree prediction. Numeric
+literals are written in exponent form (``1e0``): Spark SQL and DuckDB both
+read that as DOUBLE, while ``1.0`` is a DECIMAL in Spark SQL and would turn
+every delta sum into decimal arithmetic.
 
 NULLs: a product is 0 on a row where any attribute it reads is NULL (a delta
 on NULL is already 0). So every product is total, and ``SUM(p1 + p2)`` equals

@@ -34,8 +34,8 @@ def dim_size(base: int, sf: float, floor: int = 8) -> int:
     """Dimension-domain size at a scale factor.
 
     Domains grow with sqrt(SF) so that per-key fact multiplicities (and
-    thus group counts in aggregate outputs) stay in a realistic band across
-    the SF=0.01 (tests) to SF=0.1 (benchmarks) range.
+    thus group counts in aggregate outputs) stay in a realistic band from
+    the test SF (0.004) to the job SF (0.05) and the scale trend's 0.5.
     """
     return max(floor, int(base * sf**0.5))
 
@@ -127,18 +127,3 @@ class DatasetSpec:
             fact_df.where(f"{self.date_attr} > {cut}"),
         )
 
-
-_REGISTRY: dict[str, DatasetSpec] = {}
-
-
-def register(spec: DatasetSpec) -> DatasetSpec:
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
-def all_datasets() -> dict[str, DatasetSpec]:
-    """All registered dataset specs, keyed by name (import side effect of
-    the dataset modules, triggered by the package __init__)."""
-    import repro.datasets  # noqa: F401  (ensures modules imported)
-
-    return dict(_REGISTRY)

@@ -11,7 +11,7 @@ import pandas as pd
 
 from repro.core.schema import Attribute as A
 from repro.core.schema import Database, Relation
-from repro.datasets.common import DatasetSpec, dim_size, register, rng
+from repro.datasets.common import DatasetSpec, dim_size, rng
 
 _DB = Database(
     [
@@ -136,18 +136,16 @@ def _generate(sf: float, seed: int) -> dict[str, pd.DataFrame]:
     }
 
 
-FAVORITA = register(
-    DatasetSpec(
-        name="favorita",
-        db=_DB,
-        edges=_EDGES,
-        fact="Sales",
-        generate_pandas=_generate,
-        label="units",
-        date_attr="date",
-        cm_cats=("promo", "family", "perishable", "city", "stype", "htype"),
-        mi_attrs=("promo", "family", "perishable", "city", "stype", "htype"),
-        cube_dims=("family", "city", "htype"),
-        cube_measures=("units", "txns", "price", "units", "txns"),
-    )
+FAVORITA = DatasetSpec(
+    name="favorita",
+    db=_DB,
+    edges=_EDGES,
+    fact="Sales",
+    generate_pandas=_generate,
+    label="units",
+    date_attr="date",
+    cm_cats=("promo", "family", "perishable", "city", "stype", "htype"),
+    mi_attrs=("promo", "family", "perishable", "city", "stype", "htype"),
+    cube_dims=("family", "city", "htype"),
+    cube_measures=("units", "txns", "price", "units", "txns"),
 )

@@ -12,7 +12,7 @@ import pandas as pd
 
 from repro.core.schema import Attribute as A
 from repro.core.schema import Database, Relation
-from repro.datasets.common import DatasetSpec, dim_size, register, rng
+from repro.datasets.common import DatasetSpec, dim_size, rng
 
 _DB = Database(
     [
@@ -163,18 +163,16 @@ def _generate(sf: float, seed: int) -> dict[str, pd.DataFrame]:
     }
 
 
-RETAILER = register(
-    DatasetSpec(
-        name="retailer",
-        db=_DB,
-        edges=_EDGES,
-        fact="Inventory",
-        generate_pandas=_generate,
-        label="inventoryunits",
-        date_attr="date",
-        cm_cats=("rain", "snow", "clim_zn", "category", "categorycluster"),
-        mi_attrs=("rain", "snow", "thunder", "rgn_cd", "clim_zn", "category"),
-        cube_dims=("category", "clim_zn", "rain"),
-        cube_measures=("inventoryunits", "price", "mxtemp", "avghhi", "population"),
-    )
+RETAILER = DatasetSpec(
+    name="retailer",
+    db=_DB,
+    edges=_EDGES,
+    fact="Inventory",
+    generate_pandas=_generate,
+    label="inventoryunits",
+    date_attr="date",
+    cm_cats=("rain", "snow", "clim_zn", "category", "categorycluster"),
+    mi_attrs=("rain", "snow", "thunder", "rgn_cd", "clim_zn", "category"),
+    cube_dims=("category", "clim_zn", "rain"),
+    cube_measures=("inventoryunits", "price", "mxtemp", "avghhi", "population"),
 )

@@ -15,7 +15,7 @@ import pandas as pd
 
 from repro.core.schema import Attribute as A
 from repro.core.schema import Database, Relation
-from repro.datasets.common import DatasetSpec, dim_size, register, rng
+from repro.datasets.common import DatasetSpec, dim_size, rng
 
 _DB = Database(
     [
@@ -242,33 +242,31 @@ def _generate(sf: float, seed: int) -> dict[str, pd.DataFrame]:
     }
 
 
-TPCDS = register(
-    DatasetSpec(
-        name="tpcds",
-        db=_DB,
-        edges=_EDGES,
-        fact="store_sales",
-        generate_pandas=_generate,
-        label="c_preferred",
-        date_attr="datekey",
-        cm_cats=(
-            "d_holiday",
-            "i_category",
-            "c_preferred",
-            "cd_gender",
-            "cd_marital",
-            "s_market",
-            "p_tv",
-        ),
-        mi_attrs=(
-            "d_holiday",
-            "i_category",
-            "c_preferred",
-            "cd_gender",
-            "cd_marital",
-            "s_market",
-        ),
-        cube_dims=("i_category", "cd_marital", "d_holiday"),
-        cube_measures=("ss_quantity", "ss_sales", "ss_list", "ss_discount", "i_price"),
-    )
+TPCDS = DatasetSpec(
+    name="tpcds",
+    db=_DB,
+    edges=_EDGES,
+    fact="store_sales",
+    generate_pandas=_generate,
+    label="c_preferred",
+    date_attr="datekey",
+    cm_cats=(
+        "d_holiday",
+        "i_category",
+        "c_preferred",
+        "cd_gender",
+        "cd_marital",
+        "s_market",
+        "p_tv",
+    ),
+    mi_attrs=(
+        "d_holiday",
+        "i_category",
+        "c_preferred",
+        "cd_gender",
+        "cd_marital",
+        "s_market",
+    ),
+    cube_dims=("i_category", "cd_marital", "d_holiday"),
+    cube_measures=("ss_quantity", "ss_sales", "ss_list", "ss_discount", "i_price"),
 )

@@ -14,7 +14,7 @@ import pandas as pd
 
 from repro.core.schema import Attribute as A
 from repro.core.schema import Database, Relation
-from repro.datasets.common import DatasetSpec, dim_size, register, rng
+from repro.datasets.common import DatasetSpec, dim_size, rng
 
 _DB = Database(
     [
@@ -132,18 +132,16 @@ def _generate(sf: float, seed: int) -> dict[str, pd.DataFrame]:
     }
 
 
-YELP = register(
-    DatasetSpec(
-        name="yelp",
-        db=_DB,
-        edges=_EDGES,
-        fact="Review",
-        generate_pandas=_generate,
-        label="rstars",
-        date_attr=None,
-        cm_cats=("ryear", "u_elite", "b_open", "b_city", "cat_id"),
-        mi_attrs=("ryear", "u_elite", "b_open", "b_city", "b_state", "cat_id"),
-        cube_dims=("b_city", "cat_id", "b_open"),
-        cube_measures=("rstars", "ruseful", "u_fans", "b_stars", "b_reviews"),
-    )
+YELP = DatasetSpec(
+    name="yelp",
+    db=_DB,
+    edges=_EDGES,
+    fact="Review",
+    generate_pandas=_generate,
+    label="rstars",
+    date_attr=None,
+    cm_cats=("ryear", "u_elite", "b_open", "b_city", "cat_id"),
+    mi_attrs=("ryear", "u_elite", "b_open", "b_city", "b_state", "cat_id"),
+    cube_dims=("b_city", "cat_id", "b_open"),
+    cube_measures=("rstars", "ruseful", "u_fans", "b_stars", "b_reviews"),
 )

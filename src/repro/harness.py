@@ -1,7 +1,8 @@
 """Experiment harness: builds every evaluation-table row (paper §4).
 
-Each ``tableN_rows`` function measures one paper table and returns rows as
-dicts; ``jobs/tableN_*.py`` are thin spark-submit wrappers. Timing protocol:
+Each ``*_rows`` function measures one paper table and returns rows as
+dicts; ``TABLES`` names each printed table, and ``jobs/run.py TABLE`` prints
+it. Timing protocol:
 relations are generated and cached (caches warmed by a count), then each
 system is timed once on the warm cache — the analog of the paper's
 warm-cache averaging, scaled to laptop runtimes.
@@ -36,42 +37,39 @@ from repro.datasets import all_datasets
 from repro.datasets.common import DatasetSpec
 from repro.workloads import WORKLOADS, build_workload
 
-BENCH_SF = float(os.environ.get("REPRO_BENCH_SF", "0.05"))
+BENCH_SF = 0.05
 BENCH_SEED = 0
 
 
 def _driver_mem() -> str:
-    """~75% of the container's memory limit, for the Spark driver JVM.
+    """~75% of the memory the driver may use, for the Spark driver JVM.
 
-    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before the first
-    session starts.
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > the cgroup v2/v1
+    limit, capped by physical memory > physical memory. spark.driver.memory
+    is read at JVM launch, not from SparkConf, so it must be in
+    PYSPARK_SUBMIT_ARGS before the first session starts.
 
     The cgroup read is best-effort: a container runtime's sysfs emulation
     (gVisor's, for one) may not pass the host limit through. An unbounded
-    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
-    is treated as absent so the JVM is never handed an impossible heap.
+    limit ("max", or cgroup-v1's ~9.2e18 sentinel) is above physical memory
+    and so ignored, and the JVM is never handed an impossible heap.
     """
     if m := os.environ.get("SPARK_DRIVER_MEM"):
         return m
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    src = "physical"
     for p in (
         "/sys/fs/cgroup/memory.max",
         "/sys/fs/cgroup/memory/memory.limit_in_bytes",
     ):
         try:
             raw = open(p).read().strip()
-            if not raw or raw == "max":
-                continue
-            gib = int(raw) / (1 << 30)
-            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
-                continue
-            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
-            return f"{max(1, int(gib * 0.75))}g"
+            if int(raw) < limit:
+                limit, src = int(raw), f"cgroup:{p}={raw}"
         except (OSError, ValueError):
-            continue
-    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+            pass
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = src
+    return f"{max(1, int(limit / (1 << 30) * 0.75))}g"
 
 
 def make_spark(app: str = "repro-job") -> SparkSession:
@@ -80,13 +78,13 @@ def make_spark(app: str = "repro-job") -> SparkSession:
     Master and driver memory go into ``PYSPARK_SUBMIT_ARGS`` unless the
     caller set it already; the rest is per-session config.
     """
-    os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS",
-        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
-        f"--driver-memory {_driver_mem()} "
-        "--conf spark.driver.host=127.0.0.1 "
-        "--conf spark.ui.enabled=false pyspark-shell",
-    )
+    if "PYSPARK_SUBMIT_ARGS" not in os.environ:
+        os.environ["PYSPARK_SUBMIT_ARGS"] = (
+            f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+            f"--driver-memory {_driver_mem()} "
+            "--conf spark.driver.host=127.0.0.1 "
+            "--conf spark.ui.enabled=false pyspark-shell"
+        )
     spark = (
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", "8")
@@ -458,6 +456,31 @@ def tree_rows(
     return rows
 
 
+def table4_linreg_rows(
+    spark: SparkSession, sf: float = BENCH_SF, datasets: list[str] | None = None
+) -> list[dict]:
+    """Table 4's linear-regression blocks, Retailer and Favorita by default."""
+    return [
+        r for name in datasets or ["retailer", "favorita"]
+        for r in linreg_rows(spark, name, sf)
+    ]
+
+
+def table4_tree_rows(
+    spark: SparkSession, sf: float = BENCH_SF, datasets: list[str] | None = None
+) -> list[dict]:
+    """Table 4's regression-tree blocks, Retailer and Favorita by default."""
+    return [
+        r for name in datasets or ["retailer", "favorita"]
+        for r in tree_rows(spark, name, sf, kind="regression")
+    ]
+
+
+def table5_rows(spark: SparkSession, sf: float = BENCH_SF) -> list[dict]:
+    """Table 5: the classification tree over TPC-DS."""
+    return tree_rows(spark, "tpcds", sf, kind="classification")
+
+
 def _tree_accuracy(pred: np.ndarray, actual, kind: str) -> float:
     actual = np.asarray(actual, dtype=float)
     if kind == "regression":
@@ -545,3 +568,23 @@ def scale_trend_rows(
             }
         )
     return rows
+
+
+#: Every printed table: name -> (title, row builder). ``jobs/run.py NAME``
+#: passes ``--sf`` / ``--datasets`` only to a builder that takes them.
+TABLES = {
+    "table1": ("Table 1 — dataset characteristics (SF={sf})", table1_rows),
+    "table2": ("Table 2 — batch statistics (SF={sf})", table2_rows),
+    "table3": ("Table 3 — aggregate batch times (SF={sf})", table3_rows),
+    "table4-linreg": ("Table 4 — linear regression (SF={sf})", table4_linreg_rows),
+    "table4-tree": ("Table 4 — regression tree (SF={sf})", table4_tree_rows),
+    "table5": ("Table 5 — classification tree, tpcds (SF={sf})", table5_rows),
+    "ablation": (
+        "Figure 5 (as table) — optimization-layer ablation, CM batch (SF={sf})",
+        ablation_rows,
+    ),
+    "scale-trend": (
+        "Scale trend — covar batch, LMFAO vs materialize-then-Spark (Yelp)",
+        scale_trend_rows,
+    ),
+}

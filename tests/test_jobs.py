@@ -1,11 +1,16 @@
 """Job entrypoint smoke tests: every table harness runs end-to-end at a tiny
-scale factor and produces rows with the expected columns."""
+scale factor and produces rows with the expected columns, and ``jobs/run.py``
+prints any of them."""
 from __future__ import annotations
 
+import inspect
+import io
 import math
+import os
 
 import pytest
 
+from jobs import run as runner
 from repro import harness
 from repro.harness import (
     ablation_rows,
@@ -111,3 +116,96 @@ def test_ablation(spark):
     nosharing = rows[0]
     merged = rows[1]
     assert nosharing["V"] > merged["V"], "merging must reduce view count"
+
+
+def _stats(rows):
+    return [(r["dataset"], r["batch"], r["A"], r["I"], r["V"], r["G"]) for r in rows]
+
+
+def test_runner_prints_table2(spark, capsys):
+    rows = runner.main(["table2", "--sf", str(SF), "--datasets", "favorita"], spark=spark)
+    out = capsys.readouterr().out
+    assert f"# Table 2 — batch statistics (SF={SF})" in out
+    assert harness.fmt_table(rows) in out
+    assert _stats(rows) == _stats(table2_rows(spark, SF, ["favorita"]))
+    assert spark.range(3).count() == 3  # the injected session is not stopped
+
+
+#: The flags each table takes: the ones its job script took.
+RUNNER_FLAGS = {
+    "table1": {"sf", "datasets"},
+    "table2": {"sf", "datasets"},
+    "table3": {"sf", "datasets"},
+    "table4-linreg": {"sf", "datasets"},
+    "table4-tree": {"sf", "datasets"},
+    "table5": {"sf"},
+    "ablation": {"sf", "datasets"},
+    "scale-trend": set(),
+}
+
+
+def test_every_table_takes_its_runner_flags():
+    assert set(harness.TABLES) == set(RUNNER_FLAGS)
+    for name, (title, build) in harness.TABLES.items():
+        params = inspect.signature(build).parameters
+        assert {f for f in ("sf", "datasets") if f in params} == RUNNER_FLAGS[name]
+        flags = {"sf": 0.1, "datasets": ["favorita"]}
+        args = {f: v for f, v in flags.items() if f in RUNNER_FLAGS[name]}
+        inspect.signature(build).bind(None, **args)
+        title.format(**args)  # the title names no flag the table lacks
+
+
+def test_runner_rejects_a_flag_the_table_does_not_take():
+    with pytest.raises(SystemExit) as exc:
+        runner.main(["scale-trend", "--sf", "0.1"])
+    assert exc.value.code == 2
+
+
+def test_runner_stops_its_own_session_when_the_table_raises(monkeypatch):
+    stopped = []
+
+    class Session:
+        def stop(self):
+            stopped.append(True)
+
+    def fail(spark, sf, datasets=None):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(runner, "make_spark", lambda app: Session())
+    monkeypatch.setitem(harness.TABLES, "table2", ("failing table", fail))
+    with pytest.raises(RuntimeError, match="injected failure"):
+        runner.main(["table2"])
+    assert stopped == [True]
+
+
+@pytest.mark.parametrize(
+    "cgroup, expected",
+    [(None, "3g"), ("max", "3g"), (str(8 << 30), "3g"), (str(2 << 30), "1g")],
+)
+def test_driver_mem_fits_physical_memory(monkeypatch, cgroup, expected):
+    """With no SPARK_DRIVER_MEM, the driver heap is 75 % of the cgroup limit
+    or of physical memory (4 GiB here), whichever is lower."""
+
+    def read_cgroup(path, *args, **kwargs):
+        if cgroup is None:
+            raise FileNotFoundError(path)
+        return io.StringIO(cgroup + "\n")
+
+    monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+    monkeypatch.delenv("_SPARK_DRIVER_MEM_SRC", raising=False)
+    monkeypatch.setattr(harness, "open", read_cgroup, raising=False)
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": (4 << 30) // 4096}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert harness._driver_mem() == expected
+
+
+def test_make_spark_keeps_set_submit_args(spark, monkeypatch):
+    """A caller's PYSPARK_SUBMIT_ARGS is used as is: the driver memory is
+    not worked out."""
+
+    def fail():
+        raise AssertionError("driver memory worked out")
+
+    monkeypatch.setenv("PYSPARK_SUBMIT_ARGS", "--master local[1] pyspark-shell")
+    monkeypatch.setattr(harness, "_driver_mem", fail)
+    assert harness.make_spark("repro") is spark
