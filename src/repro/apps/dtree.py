@@ -240,14 +240,16 @@ def compute_thresholds(
 ) -> dict[str, list[float]]:
     """Candidate split thresholds: ``n_buckets`` quantiles of each continuous
     attribute, computed on its home relation (the paper buckets continuous
-    attributes into 20 buckets, provided as input to all systems)."""
-    out: dict[str, list[float]] = {}
+    attributes into 20 buckets, provided as input to all systems). One Spark
+    job per home relation computes the quantiles of all its attributes."""
+    probs = [i / (n_buckets + 1) for i in range(1, n_buckets + 1)]
+    by_home: dict[str, list[str]] = {}
     for a in cont:
-        home = db.relations_containing(a)[0]
-        probs = [i / (n_buckets + 1) for i in range(1, n_buckets + 1)]
-        qs = relations[home].approxQuantile(a, probs, 0.001)
-        out[a] = sorted(set(round(float(q), 6) for q in qs))
-    return out
+        by_home.setdefault(db.relations_containing(a)[0], []).append(a)
+    qs: dict[str, list[float]] = {}
+    for home, attrs in by_home.items():
+        qs.update(zip(attrs, relations[home].approxQuantile(attrs, probs, 0.001)))
+    return {a: sorted(set(round(float(q), 6) for q in qs[a])) for a in cont}
 
 
 def learn_tree(

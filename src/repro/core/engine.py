@@ -104,5 +104,5 @@ class LMFAO:
 def result_size_mb(result: RunResult) -> float:
     """Size of the application aggregates (Table 2's "Size" column): 8 bytes
     per value over all collected query outputs."""
-    total = sum(pdf.size * 8 for pdf in result.collected.values())
+    total = sum(pdf.size * 8 for pdf in result.frames.values())
     return total / (1024 * 1024)

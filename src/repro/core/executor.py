@@ -1,20 +1,21 @@
 """Multi-Output execution + Parallelization layers (paper §3.5).
 
-A view evaluates as: scan its source relation (projected to the columns
-actually used), probe each incoming view through a broadcast hash join on the
-edge join keys, then one ``groupBy().agg()`` computing *all* of the view's
-merged aggregates in a single pass — the Spark analog of LMFAO's multi-output
-plan (one scan, many aggregates, hash-map lookups into the incoming views,
-Tungsten whole-stage codegen standing in for the generated C++; see DESIGN.md
-"substitutions"). Each aggregate is SQL text, ``SUM(<local.to_sql()> *
-v<k>_a<i> …)``, the same function text the baselines and the oracle run.
+A view evaluates as: scan its source relation (Catalyst prunes the scan to
+the columns the view reads), probe each incoming view through a broadcast
+hash join on the edge join keys, then one ``groupBy().agg()`` computing *all*
+of the view's merged aggregates in a single pass — the Spark analog of
+LMFAO's multi-output plan (one scan, many aggregates, hash-map lookups into
+the incoming views, Tungsten whole-stage codegen standing in for the
+generated C++; see DESIGN.md "substitutions"). Each aggregate is SQL text,
+``SUM(<local.to_sql()> * v<k>_a<i> …)``, the same function text the
+baselines and the oracle run.
 
-Every view is one Spark job that collects it, the analog of LMFAO computing
-each view once into an in-memory hash map that its parent probes: a query
-view is collected to pandas, an internal view to Arrow and handed back to
-Spark as a local frame that its readers probe through a broadcast join. No
-Spark-side state outlives a view's job, so a run leaves nothing to release,
-also when a job raises.
+Every view is one Spark job that collects it to Arrow, the analog of LMFAO
+computing each view once into an in-memory hash map that its parent probes: a
+query view's table becomes its pandas result, an internal view's is handed
+back to Spark as a local frame that its readers probe through a broadcast
+join. No Spark-side state outlives a view's job, so a run leaves nothing to
+release, also when a job raises.
 
 Parallelization (§3.6): task parallelism follows the view dependencies. One
 thread pool of ``defaultParallelism`` workers (one with ``parallel=False``)
@@ -49,10 +50,10 @@ class RunResult:
     in Spark, so there is nothing to release.
     """
 
-    collected: dict[str, pd.DataFrame]
+    frames: dict[str, pd.DataFrame]
 
     def pandas(self, query_name: str) -> pd.DataFrame:
-        return self.collected[query_name]
+        return self.frames[query_name]
 
     def cleanup(self) -> None:
         """No-op, kept for callers written against the release-when-done
@@ -65,32 +66,21 @@ def _atom_sql(atom: Atom, views: list[ViewDef]) -> str:
     return " * ".join([atom.local.to_sql(), *refs])
 
 
-def _used_source_columns(view: ViewDef, views: list[ViewDef], tree: JoinTree):
-    """Columns of the source relation this view actually reads."""
-    omega = tree.db.schema_of(view.source)
-    used = set(view.group_by) & omega
-    for atom in view.atoms:
-        used |= {a for f_ in atom.local.factors for a in f_.attrs if a in omega}
-    for vid in view.incoming:
-        used |= {a for a in views[vid].group_by if a in omega}
-    return sorted(used)
-
-
 def _view_df(
     view: ViewDef,
     views: list[ViewDef],
     tree: JoinTree,
     relations: dict[str, DataFrame],
-    built: dict[int, DataFrame],
+    inputs: dict[int, DataFrame],
 ) -> DataFrame:
     """The view's plan: source relation, broadcast-joined with its incoming
-    views (inner, on the edge join keys = incoming group-by ∩ source schema),
-    aggregated in one pass."""
+    views ``inputs`` (inner, on the edge join keys = incoming group-by ∩
+    source schema), aggregated in one pass."""
     omega = tree.db.schema_of(view.source)
-    df = relations[view.source].select(*_used_source_columns(view, views, tree))
+    df = relations[view.source]
     for vid in view.incoming:
         keys = [a for a in views[vid].group_by if a in omega]
-        df = df.join(F.broadcast(built[vid]), on=keys, how="inner")
+        df = df.join(F.broadcast(inputs[vid]), on=keys, how="inner")
     atoms = [_atom_sql(a, views) for a in view.atoms]
     if view.is_query:
         sums = [
@@ -118,19 +108,17 @@ def execute(
     views = plan.views
     workers = spark.sparkContext.defaultParallelism if parallel else 1
     futures: dict[int, Future] = {}
-    built: dict[int, DataFrame] = {}
-    collected: dict[str, pd.DataFrame] = {}
 
-    def run_view(view: ViewDef) -> None:
-        for vid in view.incoming:
-            futures[vid].result()  # re-raises an incoming view's failure
-        df = _view_df(view, views, plan.tree, relations, built)
+    def run_view(view: ViewDef) -> pd.DataFrame | DataFrame:
+        # .result() re-raises an incoming view's failure
+        inputs = {vid: futures[vid].result() for vid in view.incoming}
+        df = _view_df(view, views, plan.tree, relations, inputs)
+        table = df.toArrow()
         if view.is_query:
-            collected[view.query_name] = df.toPandas()
-        else:
-            # Arrow, not pandas: pandas would turn a bigint key column with
-            # NULLs into float64, which loses integers above 2**53.
-            built[view.vid] = spark.createDataFrame(df.toArrow(), schema=df.schema)
+            return table.to_pandas()
+        # Arrow, not pandas: pandas would turn a bigint key column with
+        # NULLs into float64, which loses integers above 2**53.
+        return spark.createDataFrame(table, schema=df.schema)
 
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
@@ -142,4 +130,6 @@ def execute(
             fut.result()
     finally:
         pool.shutdown(cancel_futures=True)
-    return RunResult(collected)
+    return RunResult(
+        {v.query_name: futures[v.vid].result() for v in views if v.is_query}
+    )

@@ -46,6 +46,21 @@ def test_regression_tree_matches_pandas_cart(spark, data, name):
         assert got[path] == exp[path], f"split at {path!r} differs"
 
 
+def test_thresholds_match_per_attribute_quantiles(retailer):
+    """One quantile job per home relation gives each continuous attribute the
+    thresholds of its own single-column ``approxQuantile``."""
+    spec, rels = retailer.spec, retailer.relations
+    cont = spec.continuous_features()
+    homes = [spec.db.relations_containing(a)[0] for a in cont]
+    assert max(homes.count(h) for h in homes) > 1  # several per relation
+    probs = [i / 5 for i in range(1, 5)]
+    got = compute_thresholds(rels, spec.db, cont, 4)
+    assert list(got) == list(cont)
+    for a, home in zip(cont, homes):
+        qs = rels[home].approxQuantile(a, probs, 0.001)
+        assert got[a] == sorted(set(round(float(q), 6) for q in qs)), a
+
+
 @pytest.mark.parametrize(
     "kind, moments",
     [("regression", ("cnt", "s", "ss")), ("classification", ("cnt",))],

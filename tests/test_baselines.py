@@ -10,6 +10,12 @@ import pytest
 from repro.baselines.duckdb_batch import run_duckdb, run_per_query_duckdb
 from repro.baselines.ml_baselines import gd_epochs, materialize_join, one_hot
 from repro.baselines.sql_batch import run_per_query_spark
+from repro.core.engine import LMFAO
+from repro.core.expr import count, ident, sum_of
+from repro.core.join_tree import JoinTree
+from repro.core.query import Query
+from repro.core.schema import Attribute as A
+from repro.core.schema import Database, Relation
 from repro.oracle import assert_frames_agree
 from repro.workloads import build_workload
 from tests.conftest import run_batch
@@ -87,3 +93,39 @@ def test_outputs_are_double(spark, favorita, wl):
             for name in q.agg_names:
                 dtype = results[q.name][name].dtype
                 assert pd.api.types.is_float_dtype(dtype), (system, q.name, name, dtype)
+
+
+def test_group_by_dtypes_match_spark(spark):
+    """Group-by columns come back from ``LMFAO.run`` with the values and
+    dtypes of Spark's own ``toPandas``: a bigint key holding a NULL as
+    float64, a bigint key with no NULLs as int64."""
+    db = Database(
+        [
+            Relation("F", (A("k", "key"), A("g", "cat"), A("x"))),
+            Relation("D", (A("k", "key"), A("h", "cat"))),
+        ]
+    )
+    tree = JoinTree(db, [("F", "D")])
+    rels = {
+        "F": spark.createDataFrame(
+            [(1, 10, 1.0), (2, None, 2.0), (2, 11, 3.0), (3, 10, 4.0)],
+            "k BIGINT, g BIGINT, x DOUBLE",
+        ),
+        "D": spark.createDataFrame([(1, 5), (2, 6), (3, 5)], "k BIGINT, h BIGINT"),
+    }
+    queries = [
+        Query("by_g", ("g",), (count(), sum_of(ident("x")))),
+        Query("by_h", ("h",), (count(), sum_of(ident("x")))),
+    ]
+    engine = LMFAO(tree, {n: df.count() for n, df in rels.items()})
+    run = engine.run(spark, rels, engine.compile(queries))
+    spark_pq = run_per_query_spark(spark, rels, tree, queries)
+    for q in queries:
+        cols = [*q.group_by, *q.agg_names]
+        got, exp = (
+            df[cols].sort_values(cols).reset_index(drop=True)
+            for df in (run.pandas(q.name), spark_pq[q.name])
+        )
+        pd.testing.assert_frame_equal(got, exp)
+    assert run.pandas("by_g")["g"].dtype == np.float64
+    assert run.pandas("by_h")["h"].dtype == np.int64

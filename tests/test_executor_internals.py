@@ -1,8 +1,10 @@
-"""Executor-internals tests: column pruning, no view persisted, nothing left
-cached after a run or a failed run, dependency-driven scheduling and fail-fast,
+"""Executor-internals tests: each view's executed plan scans only the columns
+it reads (Catalyst column pruning), no view persisted, nothing left cached
+after a run or a failed run, dependency-driven scheduling and fail-fast,
 Example 3.3 numeric correctness on a chain database."""
 from __future__ import annotations
 
+import re
 import time
 from collections import Counter
 
@@ -14,7 +16,6 @@ from pyspark.sql.classic.dataframe import DataFrame
 
 from repro.core import executor
 from repro.core.engine import LMFAO, result_size_mb
-from repro.core.executor import _used_source_columns
 from repro.core.expr import count, ident, sum_of
 from repro.core.join_tree import JoinTree
 from repro.core.query import Query
@@ -25,23 +26,32 @@ from repro.datasets import FAVORITA
 from repro.workloads import build_workload
 
 
-def test_used_source_columns_prunes(favorita):
+def _scanned_columns(view, views, relations) -> set[str]:
+    """Columns the executed plan of a view with no incoming views reads
+    from its cached source relation (its ``InMemoryTableScan [...]``)."""
+    df = executor._view_df(view, views, FAVORITA.tree(), relations, {})
+    plan = df._jdf.queryExecution().executedPlan().toString()
+    (cols,) = re.findall(r"InMemoryTableScan \[([^\]]*)\]", plan)
+    return {re.sub(r"#\d+L?$", "", c.strip()) for c in cols.split(",")}
+
+
+def test_scan_pruned_to_join_keys(favorita):
     """A count query must scan only the join keys of each relation."""
     reg = ViewRegistry()
     decompose_query(Query("q", (), (count(),)), "Sales", FAVORITA.tree(), reg)
     stores_view = [v for v in reg.views if v.source == "Stores"][0]
-    used = _used_source_columns(stores_view, reg.views, FAVORITA.tree())
-    assert used == ["store"]  # city/state/stype/cluster pruned
+    # city/state/stype/cluster pruned
+    assert _scanned_columns(stores_view, reg.views, favorita.relations) == {"store"}
 
 
-def test_used_source_columns_includes_factor_attrs(favorita):
+def test_scan_includes_factor_attrs(favorita):
     reg = ViewRegistry()
     decompose_query(
         Query("q", (), (sum_of(ident("price")),)), "Sales", FAVORITA.tree(), reg
     )
     oil_view = [v for v in reg.views if v.source == "Oil"][0]
-    used = _used_source_columns(oil_view, reg.views, FAVORITA.tree())
-    assert set(used) == {"date", "price"}
+    scanned = _scanned_columns(oil_view, reg.views, favorita.relations)
+    assert scanned == {"date", "price"}
 
 
 @pytest.fixture(scope="module")
@@ -209,7 +219,6 @@ def _record_schedule(monkeypatch, slow=None):
 
     monkeypatch.setattr(executor, "_view_df", build)
     monkeypatch.setattr(DataFrame, "toArrow", collecting(DataFrame.toArrow))
-    monkeypatch.setattr(DataFrame, "toPandas", collecting(DataFrame.toPandas))
     return events
 
 
